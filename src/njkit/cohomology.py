@@ -6,10 +6,16 @@ sequence verification.
 Cochains of degree ``n`` are alternating ``n``-linear maps into the module,
 stored on strictly increasing basis tuples; degree-0 cochains are single
 module vectors (stored under the empty tuple).
+
+Every differential is assembled from nonzero entries only (cochain values,
+structure constants, action and operator entries). A complex builds the
+operators its differentials share, the deformed module and the powers of
+``-P_M``, once, on first use, and drops them with itself.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -29,6 +35,8 @@ from .lie import (
     vector,
     zero_vector,
 )
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -91,25 +99,6 @@ class Cochain:
         if base is None:
             return zero_vector(self.target_dim)
         return vec_scale(sign, base)
-
-    def evaluate_mixed(self, args: Sequence) -> Vector:
-        """Value on a mix of basis indices (ints) and coordinate vectors."""
-        slots: list[list[tuple[int, Fraction]]] = []
-        for a in args:
-            if isinstance(a, int):
-                slots.append([(a, Fraction(1))])
-            else:
-                slots.append([(i, c) for i, c in enumerate(a) if c])
-        out = zero_vector(self.target_dim)
-        stack: list[tuple[int, tuple[int, ...], Fraction]] = [(0, (), Fraction(1))]
-        while stack:
-            pos, chosen, coeff = stack.pop()
-            if pos == len(slots):
-                out = vec_add(out, vec_scale(coeff, self.evaluate(chosen)))
-                continue
-            for i, c in slots[pos]:
-                stack.append((pos + 1, chosen + (i,), coeff * c))
-        return out
 
     def add(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
@@ -197,32 +186,130 @@ class PairCochain:
         return PairCochain(self.degree, self.lie_part.scale(c), njo)
 
 
+def _accumulate(
+    out: dict[tuple[int, ...], list], key: tuple[int, ...], factor, image: list, dim: int
+) -> None:
+    """Add ``factor`` times the sparse vector ``image`` to ``out[key]``."""
+    acc = out.get(key)
+    if acc is None:
+        acc = out[key] = [_ZERO] * dim
+    for s, c in image:
+        acc[s] += factor * c
+
+
 def delta_lie(rep: Representation, f: Cochain) -> Cochain:
-    """The Chevalley-Eilenberg differential of ``f`` with module ``rep``."""
+    """The Chevalley-Eilenberg differential of ``f`` with module ``rep``:
+    ``(df)(x_0..x_n) = sum_p (-1)^p x_p . f(..^x_p..)
+    + sum_{p<q} (-1)^(p+q) f([x_p, x_q], ..^x_p..^x_q..)``.
+
+    Assembled from the nonzero values of ``f``, the nonzero structure
+    constants and the nonzero action entries. A value ``f(e_I) = m``
+    contributes ``(-1)^pos(a) e_a . m`` on ``I + {a}`` for every ``a`` not in
+    ``I``, and ``(-1)^(p+q+pos(k)) c^k_ab m`` on ``(I - {k}) + {a, b}`` for
+    every ``k`` in ``I`` and nonzero ``c^k_ab``, where ``p < q`` are the
+    positions of ``a < b`` in the new key and ``pos(k)`` that of ``k`` in ``I``.
+    """
     alg = rep.algebra
     if f.source_dim != alg.dim or f.target_dim != rep.dim:
         raise ValueError("cochain does not match the module")
-    n = f.degree
-    values: dict[tuple[int, ...], Vector] = {}
-    for idx in combinations(range(alg.dim), n + 1):
-        total = zero_vector(rep.dim)
-        for pos in range(n + 1):
-            rest = idx[:pos] + idx[pos + 1 :]
-            term = rep.act_basis(idx[pos], f.evaluate(rest))
-            total = vec_add(total, vec_scale((-1) ** pos, term))
-        for p in range(n + 1):
-            for q in range(p + 1, n + 1):
-                rest = tuple(
-                    idx[t] for t in range(n + 1) if t != p and t != q
-                )
-                bracket_vec = alg.basis_bracket(idx[p], idx[q])
-                if is_zero_vector(bracket_vec):
+    out: dict[tuple[int, ...], list] = {}
+    for idx, vec in f.values.items():
+        support = [(t, c) for t, c in enumerate(vec) if c]
+        for a in range(alg.dim):
+            if a in idx:
+                continue
+            rows = rep.actions[a].rows
+            image = [(s, row[t] * c) for t, c in support for s, row in enumerate(rows) if row[t]]
+            if image:
+                pos = bisect_left(idx, a)
+                _accumulate(out, idx[:pos] + (a,) + idx[pos:], (-1) ** pos, image, rep.dim)
+        for pos_k, k in enumerate(idx):
+            rest = idx[:pos_k] + idx[pos_k + 1 :]
+            for (a, b), value in alg.brackets.items():
+                ck = value[k]
+                if not ck or a in rest or b in rest:
                     continue
-                term = f.evaluate_mixed((bracket_vec,) + rest)
-                total = vec_add(total, vec_scale((-1) ** (p + q), term))
-        if not is_zero_vector(total):
-            values[idx] = total
-    return Cochain(n + 1, alg.dim, rep.dim, values)
+                key = tuple(sorted(rest + (a, b)))
+                sign = (-1) ** (key.index(a) + key.index(b) + pos_k)
+                _accumulate(out, key, sign, [(t, ck * c) for t, c in support], rep.dim)
+    return Cochain(f.degree + 1, alg.dim, rep.dim, out)
+
+
+def _pullback_wedge(p: Endomorphism, idx: tuple[int, ...]) -> dict[tuple[int, ...], list]:
+    """``(Id + tP)^* e^idx`` as ``{J: [coefficient of t^k for k = 0..n]}``.
+
+    The pullback of ``e^idx = e^(i_1) ^ ... ^ e^(i_n)`` is the wedge of the
+    one-forms ``e^(i_r) + t sum_j P[i_r][j] e^j``; the coefficient on ``e^J``
+    is ``det((Id + tP)[idx, J])``.
+    """
+    n = len(idx)
+    terms: dict[tuple[int, ...], list] = {(): [1] + [0] * n}
+    for r in idx:
+        factor = [(r, 0, 1)] + [(j, 1, c) for j, c in enumerate(p.rows[r]) if c]
+        wedged: dict[tuple[int, ...], list] = {}
+        for key, poly in terms.items():
+            for j, shift, c in factor:
+                if j in key:
+                    continue
+                pos = bisect_left(key, j)
+                coeff = -c if (len(key) - pos) % 2 else c
+                image = [(k + shift, coeff * poly[k]) for k in range(n + 1 - shift) if poly[k]]
+                _accumulate(wedged, key[:pos] + (j,) + key[pos:], 1, image, n + 1)
+        terms = wedged
+    return terms
+
+
+class _Operators:
+    """What the operator and cone differentials need besides the cochain:
+    the module, ``P``, ``P_M``, the deformed module and the powers of
+    ``-P_M``. The last two are built on first use and kept only as long as
+    this object, which a complex owns for its own lifetime."""
+
+    def __init__(self, nja: NijenhuisLieAlgebra, nrep: NijenhuisRepresentation) -> None:
+        self.rep = nrep.representation
+        self.p = nja.operator
+        self.p_m = nrep.operator
+        self._deformed: Representation | None = None
+        self._neg_pm = [Endomorphism.identity(self.p_m.dim)]
+
+    def deformed(self) -> Representation:
+        if self._deformed is None:
+            self._deformed = deformed_representation(self.rep, self.p, self.p_m)
+        return self._deformed
+
+    def neg_pm_powers(self, n: int) -> list[Endomorphism]:
+        """``[(-P_M)^0, ..., (-P_M)^n]`` (possibly longer)."""
+        if len(self._neg_pm) <= n:
+            neg = self.p_m.scale(-1)
+            while len(self._neg_pm) <= n:
+                self._neg_pm.append(self._neg_pm[-1].compose(neg))
+        return self._neg_pm
+
+    def delta_njo(self, f: Cochain) -> Cochain:
+        return delta_lie(self.deformed(), f).sub(delta_lie(self.rep, f).map_values(self.p_m))
+
+    def psi(self, f: Cochain) -> Cochain:
+        if f.source_dim != self.p.dim or f.target_dim != self.p_m.dim:
+            raise ValueError("cochain does not match the module")
+        n = f.degree
+        powers = self.neg_pm_powers(n)
+        out: dict[tuple[int, ...], list] = {}
+        for idx, vec in f.values.items():
+            images = [
+                [(s, v) for s, v in enumerate(powers[n - k].apply(vec)) if v]
+                for k in range(n + 1)
+            ]
+            for key, poly in _pullback_wedge(self.p, idx).items():
+                for k, c in enumerate(poly):
+                    if c:
+                        _accumulate(out, key, c, images[k], f.target_dim)
+        return Cochain(n, f.source_dim, f.target_dim, out)
+
+    def delta_njl(self, pair: PairCochain) -> PairCochain:
+        njo_out = self.psi(pair.lie_part).scale(-1)
+        if pair.njo_part is not None:
+            njo_out = njo_out.sub(self.delta_njo(pair.njo_part))
+        return PairCochain(pair.degree + 1, delta_lie(self.rep, pair.lie_part), njo_out)
 
 
 def delta_njo(
@@ -234,55 +321,28 @@ def delta_njo(
     *deformed* algebra acting through ``P`` on the module, corrected by
     ``-P_M`` composed with the plain differential.
     """
-    rep = nrep.representation
-    deformed = deformed_representation(rep, nja.operator, nrep.operator)
-    corrected = delta_lie(rep, f).map_values(nrep.operator).scale(-1)
-    return corrected.add(delta_lie(deformed, f))
+    return _Operators(nja, nrep).delta_njo(f)
 
 
 def psi(nja: NijenhuisLieAlgebra, nrep: NijenhuisRepresentation, f: Cochain) -> Cochain:
     """The comparison chain map from the Lie complex to the operator complex.
 
-    Degree 0 is the identity. In degree ``n``, sum over all ways of feeding
-    ``P`` into a subset of the arguments, post-composing with the matching
-    power of ``P_M`` and an alternating sign:
-    ``sum_{k} sum_{i_1<...<i_k} (-1)^(n-k) P_M^(n-k) f(..., P(a_i), ...)``.
+    Degree 0 is the identity. In degree ``n`` it is the product
+    ``psi_n = prod_i (P in slot i - P_M on the output)``, that is
+    ``sum_{k} sum_{i_1<...<i_k} (-P_M)^(n-k) f(..., P(a_i), ...)``. Collected
+    by ``k``, the coefficient of ``(-P_M)^(n-k)`` from ``e^I`` to ``e^J`` is
+    ``[t^k] det((Id + tP)[I, J])``, read off the pullback of ``e^I`` along
+    ``Id + tP``; the work follows the nonzero entries of ``P`` instead of the
+    ``2^n`` argument subsets.
     """
-    n = f.degree
-    if n == 0:
-        return f
-    p = nja.operator
-    p_m = nrep.operator
-    pm_powers = [Endomorphism.identity(nrep.representation.dim)]
-    for _ in range(n):
-        pm_powers.append(pm_powers[-1].compose(p_m))
-    p_columns = [p.apply(vector([1 if t == i else 0 for t in range(p.dim)])) for i in range(p.dim)]
-    values: dict[tuple[int, ...], Vector] = {}
-    for idx in combinations(range(nja.algebra.dim), n):
-        total = zero_vector(nrep.representation.dim)
-        for k in range(n + 1):
-            for subset in combinations(range(n), k):
-                chosen = set(subset)
-                args: list = [
-                    p_columns[idx[t]] if t in chosen else idx[t] for t in range(n)
-                ]
-                term = pm_powers[n - k].apply(f.evaluate_mixed(args))
-                total = vec_add(total, vec_scale((-1) ** (n - k), term))
-        if not is_zero_vector(total):
-            values[idx] = total
-    return Cochain(n, nja.algebra.dim, nrep.representation.dim, values)
+    return _Operators(nja, nrep).psi(f)
 
 
 def delta_njl(
     nja: NijenhuisLieAlgebra, nrep: NijenhuisRepresentation, pair: PairCochain
 ) -> PairCochain:
     """Cone differential ``(f, g) -> (delta_lie f, -psi f - delta_njo g)``."""
-    rep = nrep.representation
-    lie_out = delta_lie(rep, pair.lie_part)
-    njo_out = psi(nja, nrep, pair.lie_part).scale(-1)
-    if pair.njo_part is not None:
-        njo_out = njo_out.sub(delta_njo(nja, nrep, pair.njo_part))
-    return PairCochain(pair.degree + 1, lie_out, njo_out)
+    return _Operators(nja, nrep).delta_njl(pair)
 
 
 @dataclass
@@ -340,75 +400,78 @@ def _basis_pair(degree: int, sdim: int, tdim: int, key: tuple) -> PairCochain:
     return PairCochain(degree, lie, njo)
 
 
-def _cochain_coords(f: Cochain, keys: list[tuple]) -> dict[int, Fraction]:
-    pos = {key: r for r, key in enumerate(keys)}
+def _cochain_coords(
+    f: Cochain, pos: dict[tuple, int], tag: tuple = ()
+) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
     for idx, vec in f.values.items():
         for t, c in enumerate(vec):
             if c:
-                out[pos[(idx, t)]] = c
+                out[pos[tag + (idx, t)]] = c
     return out
 
 
-def _pair_coords(pair: PairCochain, keys: list[tuple]) -> dict[int, Fraction]:
-    pos = {key: r for r, key in enumerate(keys)}
-    out: dict[int, Fraction] = {}
-    for idx, vec in pair.lie_part.values.items():
-        for t, c in enumerate(vec):
-            if c:
-                out[pos[("lie", idx, t)]] = c
+def _pair_coords(pair: PairCochain, pos: dict[tuple, int]) -> dict[int, Fraction]:
+    out = _cochain_coords(pair.lie_part, pos, ("lie",))
     if pair.njo_part is not None:
-        for idx, vec in pair.njo_part.values.items():
-            for t, c in enumerate(vec):
-                if c:
-                    out[pos[("njo", idx, t)]] = c
+        out.update(_cochain_coords(pair.njo_part, pos, ("njo",)))
     return out
 
 
 class _Complex:
-    """Uniform matrix view of one of the three complexes."""
+    """Uniform matrix view of one of the three complexes.
+
+    The operators its differentials need (the deformed module, the powers
+    of ``-P_M``) are built once, on first use, and live as long as it does.
+    """
 
     def __init__(
         self, nja: NijenhuisLieAlgebra, nrep: NijenhuisRepresentation, which: str
     ) -> None:
         if which not in _COMPLEXES:
             raise ValueError(f"unknown complex {which!r}; pick one of {_COMPLEXES}")
-        self.nja = nja
-        self.nrep = nrep
         self.which = which
         self.sdim = nja.algebra.dim
         self.tdim = nrep.representation.dim
+        self.ops = _Operators(nja, nrep)
+        self._keys: dict[int, list[tuple]] = {}
+        self._positions: dict[int, dict[tuple, int]] = {}
         self._matrices: dict[int, SparseMatrix] = {}
 
     def keys(self, degree: int) -> list[tuple]:
-        if self.which == "njl":
-            return _pair_keys(degree, self.sdim, self.tdim)
-        return _lie_keys(degree, self.sdim, self.tdim)
+        if degree not in self._keys:
+            if self.which == "njl":
+                self._keys[degree] = _pair_keys(degree, self.sdim, self.tdim)
+            else:
+                self._keys[degree] = _lie_keys(degree, self.sdim, self.tdim)
+        return self._keys[degree]
+
+    def positions(self, degree: int) -> dict[tuple, int]:
+        """Row index of every key of degree ``degree``."""
+        if degree not in self._positions:
+            self._positions[degree] = {key: r for r, key in enumerate(self.keys(degree))}
+        return self._positions[degree]
 
     def dim(self, degree: int) -> int:
         return len(self.keys(degree))
+
+    def _column(self, degree: int, key: tuple) -> dict[int, Fraction]:
+        pos = self.positions(degree + 1)
+        if self.which == "njl":
+            image = self.ops.delta_njl(_basis_pair(degree, self.sdim, self.tdim, key))
+            return _pair_coords(image, pos)
+        f = _basis_cochain(degree, self.sdim, self.tdim, key)
+        if self.which == "ce":
+            return _cochain_coords(delta_lie(self.ops.rep, f), pos)
+        return _cochain_coords(self.ops.delta_njo(f), pos)
 
     def differential_matrix(self, degree: int) -> SparseMatrix:
         """Matrix of the differential from degree ``degree`` to ``degree + 1``."""
         if degree in self._matrices:
             return self._matrices[degree]
-        dom = self.keys(degree)
-        cod = self.keys(degree + 1)
-        m = SparseMatrix(len(cod), len(dom))
-        for col, key in enumerate(dom):
-            if self.which == "njl":
-                image = delta_njl(
-                    self.nja, self.nrep, _basis_pair(degree, self.sdim, self.tdim, key)
-                )
-                coords = _pair_coords(image, cod)
-            else:
-                f = _basis_cochain(degree, self.sdim, self.tdim, key)
-                if self.which == "ce":
-                    image_c = delta_lie(self.nrep.representation, f)
-                else:
-                    image_c = delta_njo(self.nja, self.nrep, f)
-                coords = _cochain_coords(image_c, cod)
-            for row, value in coords.items():
+        m = SparseMatrix(self.dim(degree + 1), self.dim(degree))
+        for col, key in enumerate(self.keys(degree)):
+            for row, value in self._column(degree, key).items():
                 m.set(row, col, value)
         self._matrices[degree] = m
         return m
@@ -497,8 +560,7 @@ def les_verify(
 
     def proj_map(degree: int, col: dict[int, Fraction]) -> dict[int, Fraction]:
         pair_keys = njl.keys(degree)
-        lie_keys = ce.keys(degree)
-        pos = {key: r for r, key in enumerate(lie_keys)}
+        pos = ce.positions(degree)
         out: dict[int, Fraction] = {}
         for i, v in col.items():
             tag, idx, t = pair_keys[i]
@@ -509,21 +571,17 @@ def les_verify(
     def incl_map(degree: int, col: dict[int, Fraction]) -> dict[int, Fraction]:
         # njo^p -> cone^(p+1)
         njo_keys = njo.keys(degree)
-        pair_keys = njl.keys(degree + 1)
-        pos = {key: r for r, key in enumerate(pair_keys)}
-        out: dict[int, Fraction] = {}
-        for i, v in col.items():
-            idx, t = njo_keys[i]
-            out[pos[("njo", idx, t)]] = v
-        return out
+        pos = njl.positions(degree + 1)
+        return {pos[("njo",) + njo_keys[i]]: v for i, v in col.items()}
 
     def psi_map(degree: int, col: dict[int, Fraction]) -> dict[int, Fraction]:
         lie_keys = ce.keys(degree)
-        f = Cochain.zero(degree, sdim, tdim)
+        values: dict[tuple[int, ...], list] = {}
         for i, v in col.items():
             idx, t = lie_keys[i]
-            f = f.add(_basis_cochain(degree, sdim, tdim, (idx, t)).scale(v))
-        return _cochain_coords(psi(nja, nrep, f), njo.keys(degree))
+            values.setdefault(idx, [_ZERO] * tdim)[t] = v
+        f = Cochain(degree, sdim, tdim, values)
+        return _cochain_coords(njo.ops.psi(f), njo.positions(degree))
 
     nodes = []
     ok = True

@@ -29,8 +29,10 @@ def parse_rational(text: str) -> Rational:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")
-    value = Fraction(s)
-    return value
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal: {text!r}") from None
 
 
 def format_rational(value: Rational) -> str:

@@ -137,8 +137,9 @@ class Endomorphism:
         return self.rows[i][j]
 
     def apply(self, x: Vector) -> Vector:
+        support = [(j, c) for j, c in enumerate(x) if c]
         return tuple(
-            sum((row[j] * x[j] for j in range(self.dim)), Fraction(0))
+            sum((row[j] * c for j, c in support if row[j]), Fraction(0))
             for row in self.rows
         )
 

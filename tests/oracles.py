@@ -1,0 +1,182 @@
+"""Dense per-column routes for the Lie-side complexes, kept only as oracles.
+
+These are the defining formulas evaluated slot by slot: the
+Chevalley-Eilenberg differential as the alternating sum over argument slots
+with the bracket fed in as a coordinate vector, and the comparison map as
+the sum over all ``2^n`` argument subsets that receive ``P``. The library
+assembles the same maps from nonzero entries only (``njkit.cohomology``);
+the tests compare the two entry for entry.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+from typing import Sequence
+
+from njkit.cohomology import Cochain, PairCochain, _Complex
+from njkit.exact import SparseMatrix
+from njkit.lie import (
+    Endomorphism,
+    NijenhuisLieAlgebra,
+    NijenhuisRepresentation,
+    Representation,
+    Vector,
+    deformed_representation,
+    is_zero_vector,
+    vec_add,
+    vec_scale,
+    vector,
+    zero_vector,
+)
+
+
+def evaluate_mixed(f: Cochain, args: Sequence) -> Vector:
+    """Value of ``f`` on a mix of basis indices (ints) and coordinate vectors."""
+    slots: list[list[tuple[int, Fraction]]] = []
+    for a in args:
+        if isinstance(a, int):
+            slots.append([(a, 1)])
+        else:
+            slots.append([(i, c) for i, c in enumerate(a) if c])
+    out = zero_vector(f.target_dim)
+    stack: list[tuple[int, tuple[int, ...], Fraction]] = [(0, (), 1)]
+    while stack:
+        pos, chosen, coeff = stack.pop()
+        if pos == len(slots):
+            value = f.evaluate(chosen)
+            if not is_zero_vector(value):
+                out = vec_add(out, vec_scale(coeff, value))
+            continue
+        for i, c in slots[pos]:
+            stack.append((pos + 1, chosen + (i,), coeff * c))
+    return out
+
+
+def delta_lie_slot_sum(rep: Representation, f: Cochain) -> Cochain:
+    """Chevalley-Eilenberg differential, one output tuple and slot at a time."""
+    alg = rep.algebra
+    n = f.degree
+    values: dict[tuple[int, ...], Vector] = {}
+    for idx in combinations(range(alg.dim), n + 1):
+        total = zero_vector(rep.dim)
+        for pos in range(n + 1):
+            rest = idx[:pos] + idx[pos + 1 :]
+            value = f.evaluate(rest)
+            if is_zero_vector(value):
+                continue
+            term = rep.act_basis(idx[pos], value)
+            total = vec_add(total, vec_scale((-1) ** pos, term))
+        for p in range(n + 1):
+            for q in range(p + 1, n + 1):
+                rest = tuple(idx[t] for t in range(n + 1) if t != p and t != q)
+                bracket_vec = alg.basis_bracket(idx[p], idx[q])
+                if is_zero_vector(bracket_vec):
+                    continue
+                term = evaluate_mixed(f, (bracket_vec,) + rest)
+                if not is_zero_vector(term):
+                    total = vec_add(total, vec_scale((-1) ** (p + q), term))
+        if not is_zero_vector(total):
+            values[idx] = total
+    return Cochain(n + 1, alg.dim, rep.dim, values)
+
+
+def delta_njo_slot_sum(
+    rep: Representation, deformed: Representation, p_m: Endomorphism, f: Cochain
+) -> Cochain:
+    """Operator-complex differential by delegation to the deformed module."""
+    corrected = delta_lie_slot_sum(rep, f).map_values(p_m).scale(-1)
+    return corrected.add(delta_lie_slot_sum(deformed, f))
+
+
+def psi_subset_sum(
+    nja: NijenhuisLieAlgebra, nrep: NijenhuisRepresentation, f: Cochain
+) -> Cochain:
+    """``sum_k sum_{i_1<...<i_k} (-1)^(n-k) P_M^(n-k) f(..., P(a_i), ...)``."""
+    n = f.degree
+    if n == 0:
+        return f
+    p = nja.operator
+    p_m = nrep.operator
+    pm_powers = [Endomorphism.identity(nrep.representation.dim)]
+    for _ in range(n):
+        pm_powers.append(pm_powers[-1].compose(p_m))
+    p_columns = [
+        p.apply(vector([1 if t == i else 0 for t in range(p.dim)])) for i in range(p.dim)
+    ]
+    values: dict[tuple[int, ...], Vector] = {}
+    for idx in combinations(range(nja.algebra.dim), n):
+        total = zero_vector(nrep.representation.dim)
+        for k in range(n + 1):
+            for subset in combinations(range(n), k):
+                args = [p_columns[idx[t]] if t in subset else idx[t] for t in range(n)]
+                term = evaluate_mixed(f, args)
+                if not is_zero_vector(term):
+                    term = pm_powers[n - k].apply(term)
+                    total = vec_add(total, vec_scale((-1) ** (n - k), term))
+        if not is_zero_vector(total):
+            values[idx] = total
+    return Cochain(n, nja.algebra.dim, nrep.representation.dim, values)
+
+
+def _basis(degree: int, sdim: int, tdim: int, idx: tuple, t: int) -> Cochain:
+    return Cochain(degree, sdim, tdim, {idx: [1 if s == t else 0 for s in range(tdim)]})
+
+
+def _coords(f: Cochain, pos: dict, tag: tuple = ()) -> dict[int, Fraction]:
+    return {
+        pos[tag + (idx, t)]: c
+        for idx, vec in f.values.items()
+        for t, c in enumerate(vec)
+        if c
+    }
+
+
+def delta_njl_slot_sum(
+    nja: NijenhuisLieAlgebra,
+    nrep: NijenhuisRepresentation,
+    deformed: Representation,
+    pair: PairCochain,
+) -> PairCochain:
+    """Cone differential ``(f, g) -> (delta_lie f, -psi f - delta_njo g)``."""
+    rep = nrep.representation
+    njo_out = psi_subset_sum(nja, nrep, pair.lie_part).scale(-1)
+    if pair.njo_part is not None:
+        njo_out = njo_out.sub(delta_njo_slot_sum(rep, deformed, nrep.operator, pair.njo_part))
+    return PairCochain(pair.degree + 1, delta_lie_slot_sum(rep, pair.lie_part), njo_out)
+
+
+def oracle_matrix(
+    nja: NijenhuisLieAlgebra, nrep: NijenhuisRepresentation, which: str, degree: int
+) -> SparseMatrix:
+    """The differential of ``which`` from ``degree`` to ``degree + 1``,
+    assembled column by column from the dense routes above, in the basis
+    order of ``njkit.cohomology``."""
+    keys = _Complex(nja, nrep, which).keys
+    dom, cod = keys(degree), keys(degree + 1)
+    pos = {key: r for r, key in enumerate(cod)}
+    rep, p_m = nrep.representation, nrep.operator
+    deformed = deformed_representation(rep, nja.operator, p_m)
+    sdim, tdim = nja.algebra.dim, rep.dim
+    m = SparseMatrix(len(cod), len(dom))
+    for col, key in enumerate(dom):
+        if which == "njl":
+            tag, idx, t = key
+            lie = Cochain.zero(degree, sdim, tdim)
+            njo = None if degree == 0 else Cochain.zero(degree - 1, sdim, tdim)
+            if tag == "lie":
+                lie = _basis(degree, sdim, tdim, idx, t)
+            else:
+                njo = _basis(degree - 1, sdim, tdim, idx, t)
+            image = delta_njl_slot_sum(nja, nrep, deformed, PairCochain(degree, lie, njo))
+            coords = _coords(image.lie_part, pos, ("lie",))
+            coords.update(_coords(image.njo_part, pos, ("njo",)))
+        else:
+            f = _basis(degree, sdim, tdim, *key)
+            if which == "ce":
+                coords = _coords(delta_lie_slot_sum(rep, f), pos)
+            else:
+                coords = _coords(delta_njo_slot_sum(rep, deformed, p_m, f), pos)
+        for row, value in coords.items():
+            m.set(row, col, value)
+    return m

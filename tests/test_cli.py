@@ -276,6 +276,35 @@ def test_parse_errors_exit_3(capsys, monkeypatch):
     capsys.readouterr()
 
 
+_ZERO_DENOMINATOR_INPUTS = {
+    "lie-bracket": (["check", "lie", "-"], {"dim": 2, "brackets": {"0,1": {"0": "1/0"}}}),
+    "operator": (
+        ["cohomology", "--complex", "njo", "--max-degree", "1", "-"],
+        {"dim": 2, "brackets": {"0,1": {"0": "1"}}, "nijenhuis": [["1/0", "0"], ["0", "1"]]},
+    ),
+    "polynomial": (
+        ["fn-bracket", "-"],
+        {
+            "n": 2,
+            "left": {"degree": 1, "entries": {"1|1": "1/0*x1 + 1"}},
+            "right": {"degree": 1, "entries": {"1|2": "x2"}},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ZERO_DENOMINATOR_INPUTS))
+def test_zero_denominator_exits_3_with_one_line(capsys, monkeypatch, kind):
+    argv, doc = _ZERO_DENOMINATOR_INPUTS[kind]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "zero denominator" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_missing_required_fields_exit_3(capsys):
     assert main(["check", "nijenhuis", _fix("sl2.json")]) == 3
     assert "nijenhuis" in capsys.readouterr().err

@@ -7,9 +7,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import pytest
+
+import njkit.cohomology
 from njkit.cohomology import (
     Cochain,
     PairCochain,
+    _Complex,
     betti,
     delta_lie,
     delta_njl,
@@ -24,12 +28,22 @@ from njkit.lie import (
     NijenhuisRepresentation,
     Representation,
     adjoint_nijenhuis,
+    deformed_representation,
     semidirect_nijenhuis,
     vec_add,
     vec_scale,
     vec_sub,
     vector,
     zero_vector,
+)
+
+from oracles import (
+    delta_lie_slot_sum,
+    delta_njl_slot_sum,
+    delta_njo_slot_sum,
+    evaluate_mixed,
+    oracle_matrix,
+    psi_subset_sum,
 )
 
 
@@ -137,7 +151,7 @@ def _four_sum_partial(rep, p, f):
                 )
                 total = vec_add(
                     total,
-                    vec_scale((-1) ** (a + b), f.evaluate_mixed((ins,) + rest)),
+                    vec_scale((-1) ** (a + b), evaluate_mixed(f, (ins,) + rest)),
                 )
         if any(total):
             values[idx] = total
@@ -366,3 +380,114 @@ def test_semidirect_embedding_route_agrees():
                 assert all(i < dim_g for i in idx)
         assert restrict(routed.lie_part) == direct.lie_part
         assert restrict(routed.njo_part) == direct.njo_part
+
+
+def sl2_semidirect() -> NijenhuisLieAlgebra:
+    """sl2 acting on a second copy of itself, with diag(1, 1, 2, 1, 1, 2)."""
+    base = NijenhuisLieAlgebra(sl2(), Endomorphism.diagonal([1, 1, 2]))
+    return semidirect_nijenhuis(base, adjoint_nijenhuis(base))
+
+
+def _book(dim: int) -> LieAlgebra:
+    # [e0, ei] = ei
+    return LieAlgebra(
+        dim, {(0, i): vector([1 if k == i else 0 for k in range(dim)]) for i in range(1, dim)}
+    )
+
+
+def _matrix_fixtures():
+    """(name, algebra with operator, module with operator) for the oracle check."""
+    heis3 = LieAlgebra(3, {(0, 1): vector([0, 0, 1])})
+    cases = [
+        ("sl2xsl2", sl2_semidirect()),
+        ("book6", NijenhuisLieAlgebra(_book(6), Endomorphism.diagonal([1, 2, 3, -1, 2, 5]))),
+        ("abelian2-jordan", NijenhuisLieAlgebra(abelian(2), Endomorphism.from_rows([[1, 1], [0, 1]]))),
+        (
+            "heis3-upper",
+            NijenhuisLieAlgebra(heis3, Endomorphism.from_rows([[1, 2, 1], [0, 1, 3], [0, 0, 2]])),
+        ),
+        # Torsion T(e, f) = h: not a Nijenhuis operator.
+        ("sl2-twisted", NijenhuisLieAlgebra(sl2(), Endomorphism.diagonal([1, 0, 0]))),
+    ]
+    out = [(name, nja, adjoint_nijenhuis(nja)) for name, nja in cases]
+    nja = NijenhuisLieAlgebra(sl2(), Endomorphism.diagonal([1, 1, 2]))
+    trivial = NijenhuisRepresentation(
+        Representation.trivial(sl2(), 2), Endomorphism.from_rows([[1, 1], [0, 2]])
+    )
+    out.append(("sl2-trivial2", nja, trivial))
+    return out
+
+
+_MATRIX_FIXTURES = _matrix_fixtures()
+
+
+@pytest.mark.parametrize(
+    "name, nja, nrep", _MATRIX_FIXTURES, ids=[case[0] for case in _MATRIX_FIXTURES]
+)
+def test_differential_matrices_match_dense_oracle(name, nja, nrep):
+    for which in ("ce", "njo", "njl"):
+        cx = _Complex(nja, nrep, which)
+        for degree in range(4):
+            expected = oracle_matrix(nja, nrep, which, degree)
+            got = cx.differential_matrix(degree)
+            assert (got.nrows, got.ncols) == (expected.nrows, expected.ncols)
+            assert got.entries == expected.entries, (name, which, degree)
+
+
+def test_differentials_match_dense_oracles_on_random_cochains():
+    rng = random.Random(53)
+    cases = [(nja, adjoint_nijenhuis(nja)) for nja in _fixtures()]
+    cases += [(nja, nrep) for _, nja, nrep in _MATRIX_FIXTURES if nja.algebra.dim < 6]
+    # A dense, non-Nijenhuis P reaches every sign of the wedge expansion in psi.
+    dense = NijenhuisLieAlgebra(sl2(), Endomorphism.from_rows([[1, -2, 3], [2, 0, 1], [-1, 1, 2]]))
+    cases.append((dense, adjoint_nijenhuis(dense)))
+    for nja, nrep in cases:
+        rep = nrep.representation
+        deformed = deformed_representation(rep, nja.operator, nrep.operator)
+        d, m = nja.algebra.dim, rep.dim
+        for degree in range(0, 3):
+            f = _random_cochain(rng, degree, d, m)
+            g = None if degree == 0 else _random_cochain(rng, degree - 1, d, m)
+            assert delta_lie(rep, f) == delta_lie_slot_sum(rep, f)
+            assert delta_njo(nja, nrep, f) == delta_njo_slot_sum(rep, deformed, nrep.operator, f)
+            assert psi(nja, nrep, f) == psi_subset_sum(nja, nrep, f)
+            pair = PairCochain(degree, f, g)
+            direct = delta_njl(nja, nrep, pair)
+            oracle = delta_njl_slot_sum(nja, nrep, deformed, pair)
+            assert direct.lie_part == oracle.lie_part
+            assert direct.njo_part == oracle.njo_part
+
+
+def _count_deformed_builds(monkeypatch) -> list:
+    calls = []
+    original = njkit.cohomology.deformed_representation
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(njkit.cohomology, "deformed_representation", counted)
+    return calls
+
+
+def test_deformed_module_is_built_once_per_complex(monkeypatch):
+    nja = NijenhuisLieAlgebra(sl2(), Endomorphism.diagonal([1, 1, 2]))
+    nrep = adjoint_nijenhuis(nja)
+    calls = _count_deformed_builds(monkeypatch)
+    betti(nja, nrep, "njo", 2)
+    assert len(calls) == 1
+    calls.clear()
+    betti(nja, nrep, "ce", 2)
+    assert calls == []
+    # les_verify builds the three complexes; ce needs no deformed module.
+    assert les_verify(nja, nrep, 2).ok
+    assert len(calls) == 2
+
+
+def test_cone_betti_of_sl2_semidirect_to_degree_3():
+    # Pinned by an assembly from the defining formulas ranked with sympy
+    # (perfbench/pin_reference.py); the case the twisted route once got wrong.
+    nja = sl2_semidirect()
+    nrep = adjoint_nijenhuis(nja)
+    assert betti(nja, nrep, "njl", 3).betti == [0, 3, 13, 26]
+    assert les_verify(nja, nrep, 2).ok

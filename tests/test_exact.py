@@ -27,7 +27,7 @@ def test_parse_rational_accepts_p_and_p_over_q():
     assert parse_rational(" 4/6 ") == Fraction(2, 3)
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "a", "1/", "/2", "1/2/3", "1e3"])
+@pytest.mark.parametrize("bad", ["", "1.5", "a", "1/", "/2", "1/2/3", "1e3", "1/0", "-3/00"])
 def test_parse_rational_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -1,13 +1,19 @@
 """Lie algebroids over R^m with polynomial structure data.
 
 A rank-n algebroid is described in a fixed frame by an anchor matrix and a
-table of bracket structure functions, both polynomial. On the degree-shifted
-bundle the whole structure collapses into one odd vector field Q; this module
-builds Q, graded commutators of polynomial fields on the shifted bundle, the
-extraction of multilinear section brackets from such fields, the comparison
-map Phi into vector-valued algebroid forms, the mapping-cone differential
-coupling the two complexes, and the Maurer-Cartan residuals of a candidate
-Nijenhuis structure.
+table of bracket structure functions, both polynomial. This module holds the
+package's one Frolicher-Nijenhuis calculus: the scalar and section-valued
+algebroid forms, the extended section bracket, the five-sum bracket of
+section-valued forms and the Nijenhuis torsion, all assembled on frames. The
+classical calculus on R^n (:mod:`njkit.forms`) is the case of the tangent
+algebroid ``trivial_algebroid(n)`` and runs through the same functions.
+
+On the degree-shifted bundle the whole structure collapses into one odd
+vector field Q; the module also builds Q, graded commutators of polynomial
+fields on the shifted bundle, the extraction of multilinear section brackets
+from such fields, the comparison map Phi into section-valued forms, the
+mapping-cone differential coupling the two complexes, and the Maurer-Cartan
+residuals of a candidate Nijenhuis structure.
 
 Everything is exact: coefficients are rational polynomials and every check is
 a polynomial identity.
@@ -21,12 +27,61 @@ from itertools import combinations, product
 from typing import Callable, Mapping, Sequence
 
 from .exact import Rational, enumerate_shuffles
-from .forms import Poly, _check_index_tuple, _merge_indices, _sort_indices
 from .lie import LieAlgebra, ValidationReport
+from .poly import Poly, _check_index_tuple, _merge_indices, _monomials, _sort_indices
+
+
+def _antisymmetrized(
+    entries: Mapping, word: tuple[int, ...], out: int | None, base_dim: int
+) -> Poly:
+    """The entry on an arbitrary index word: the sorted word's entry times
+    the sorting sign, zero on a repeated index. ``out`` is the trailing key
+    component, ``None`` for entries keyed by the index tuple alone."""
+    ordered = _sort_indices(word)
+    if ordered is None:
+        return Poly.zero(base_dim)
+    sign, key = ordered
+    poly = entries.get(key if out is None else (key, out))
+    if poly is None:
+        return Poly.zero(base_dim)
+    return poly if sign > 0 else poly.neg()
+
+
+def _merged(left: Mapping, right: Mapping) -> dict:
+    """Entrywise sum of two polynomial tables."""
+    out = dict(left)
+    for key, poly in right.items():
+        out[key] = out[key].add(poly) if key in out else poly
+    return out
+
+
+class _Linear:
+    """The vector-space operations shared by the form types.
+
+    ``_with(entries, degree)`` rebuilds a form of the same type on the same
+    frame, so the tangent views in :mod:`njkit.forms` keep their own type
+    through sums, scalings and evaluations.
+    """
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def add(self, other):
+        self._check_compatible(other)
+        return self._with(_merged(self.entries, other.entries))
+
+    def sub(self, other):
+        return self.add(other.neg())
+
+    def neg(self):
+        return self._with({k: p.neg() for k, p in self.entries.items()})
+
+    def scale(self, factor: Rational | int):
+        return self._with({k: p.scale(factor) for k, p in self.entries.items()})
 
 
 @dataclass(frozen=True)
-class FiberForm:
+class FiberForm(_Linear):
     """A scalar algebroid form, i.e. a polynomial function on the shifted bundle.
 
     Degree-j entries map a strictly increasing j-tuple of fiber indices
@@ -59,60 +114,28 @@ class FiberForm:
 
     @classmethod
     def zero(cls, base_dim: int, rank: int, degree: int) -> "FiberForm":
-        return cls(base_dim, rank, degree, {})
+        return FiberForm(base_dim, rank, degree, {})
 
     @classmethod
     def coordinate(cls, base_dim: int, rank: int, alpha: int) -> "FiberForm":
         """The base coordinate function ``x_alpha`` as a degree-0 form."""
-        return cls(base_dim, rank, 0, {(): Poly.variable(base_dim, alpha)})
+        return FiberForm(base_dim, rank, 0, {(): Poly.variable(base_dim, alpha)})
 
     @classmethod
     def fiber_coordinate(cls, base_dim: int, rank: int, k: int) -> "FiberForm":
         """The k-th odd generator as a degree-1 form."""
-        return cls(base_dim, rank, 1, {(k,): Poly.const(base_dim, 1)})
+        return FiberForm(base_dim, rank, 1, {(k,): Poly.const(base_dim, 1)})
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def add(self, other: "FiberForm") -> "FiberForm":
-        self._check_compatible(other)
-        merged = dict(self.entries)
-        for key, poly in other.entries.items():
-            merged[key] = merged.get(key, Poly.zero(self.base_dim)).add(poly)
-        return FiberForm(self.base_dim, self.rank, self.degree, merged)
-
-    def sub(self, other: "FiberForm") -> "FiberForm":
-        return self.add(other.neg())
-
-    def neg(self) -> "FiberForm":
-        return FiberForm(
-            self.base_dim,
-            self.rank,
-            self.degree,
-            {k: p.neg() for k, p in self.entries.items()},
-        )
-
-    def scale(self, factor: Rational | int) -> "FiberForm":
-        return FiberForm(
-            self.base_dim,
-            self.rank,
-            self.degree,
-            {k: p.scale(factor) for k, p in self.entries.items()},
-        )
+    def _with(self, entries: Mapping, degree: int | None = None) -> "FiberForm":
+        degree = self.degree if degree is None else degree
+        return FiberForm(self.base_dim, self.rank, degree, entries)
 
     def coefficient(self, indices: Sequence[int]) -> Poly:
         """Coefficient on an arbitrary index word, antisymmetrized."""
         idx = tuple(indices)
         if len(idx) != self.degree:
             raise ValueError("wrong number of indices")
-        ordered = _sort_indices(idx)
-        if ordered is None:
-            return Poly.zero(self.base_dim)
-        sign, key = ordered
-        poly = self.entries.get(key)
-        if poly is None:
-            return Poly.zero(self.base_dim)
-        return poly if sign > 0 else poly.neg()
+        return _antisymmetrized(self.entries, idx, None, self.base_dim)
 
     def wedge(self, other: "FiberForm") -> "FiberForm":
         if self.base_dim != other.base_dim or self.rank != other.rank:
@@ -127,8 +150,8 @@ class FiberForm:
                 term = p.mul(q)
                 if sign < 0:
                     term = term.neg()
-                out[key] = out.get(key, Poly.zero(self.base_dim)).add(term)
-        return FiberForm(self.base_dim, self.rank, self.degree + other.degree, out)
+                out[key] = out[key].add(term) if key in out else term
+        return self._with(out, self.degree + other.degree)
 
     def evaluate(self, sections: Sequence["AlgebroidForm"]) -> Poly:
         """Pair a degree-j form with j polynomial sections."""
@@ -155,13 +178,13 @@ class FiberForm:
 
 
 @dataclass(frozen=True)
-class AlgebroidForm:
+class AlgebroidForm(_Linear):
     """A section-valued algebroid form on ``(fiber index tuple, output index)``.
 
-    Mirrors the tangent-space type in :mod:`njkit.forms`: input indices run
-    over the frame of the algebroid, the output index picks a frame section,
-    and coefficients are polynomials over the base. Degree-0 instances are
-    plain polynomial sections.
+    Input indices run over the frame of the algebroid, the output index
+    picks a frame section, and coefficients are polynomials over the base.
+    Degree-0 instances are plain polynomial sections. On the tangent
+    algebroid these are the vector-valued forms of :mod:`njkit.forms`.
     """
 
     base_dim: int
@@ -190,58 +213,28 @@ class AlgebroidForm:
 
     @classmethod
     def zero(cls, base_dim: int, rank: int, form_degree: int) -> "AlgebroidForm":
-        return cls(base_dim, rank, form_degree, {})
+        return AlgebroidForm(base_dim, rank, form_degree, {})
 
     @classmethod
     def section(
         cls, base_dim: int, rank: int, components: Mapping[int, Poly]
     ) -> "AlgebroidForm":
         """A degree-0 form from its frame components (1-based)."""
-        return cls(base_dim, rank, 0, {((), q): p for q, p in components.items()})
+        return AlgebroidForm(base_dim, rank, 0, {((), q): p for q, p in components.items()})
 
     @classmethod
     def basis_section(cls, base_dim: int, rank: int, i: int) -> "AlgebroidForm":
-        return cls.section(base_dim, rank, {i: Poly.const(base_dim, 1)})
+        return AlgebroidForm.section(base_dim, rank, {i: Poly.const(base_dim, 1)})
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def add(self, other: "AlgebroidForm") -> "AlgebroidForm":
-        self._check_compatible(other)
-        merged = dict(self.entries)
-        for key, poly in other.entries.items():
-            merged[key] = merged.get(key, Poly.zero(self.base_dim)).add(poly)
-        return AlgebroidForm(self.base_dim, self.rank, self.form_degree, merged)
-
-    def sub(self, other: "AlgebroidForm") -> "AlgebroidForm":
-        return self.add(other.neg())
-
-    def neg(self) -> "AlgebroidForm":
-        return AlgebroidForm(
-            self.base_dim,
-            self.rank,
-            self.form_degree,
-            {k: p.neg() for k, p in self.entries.items()},
-        )
-
-    def scale(self, factor: Rational | int) -> "AlgebroidForm":
-        return AlgebroidForm(
-            self.base_dim,
-            self.rank,
-            self.form_degree,
-            {k: p.scale(factor) for k, p in self.entries.items()},
-        )
+    def _with(self, entries: Mapping, degree: int | None = None) -> "AlgebroidForm":
+        degree = self.form_degree if degree is None else degree
+        return AlgebroidForm(self.base_dim, self.rank, degree, entries)
 
     def poly_scale(self, factor: Poly) -> "AlgebroidForm":
         """Multiply by a base function (the module structure over functions)."""
         if factor.n_vars != self.base_dim:
             raise ValueError("scaling function variable count mismatch")
-        return AlgebroidForm(
-            self.base_dim,
-            self.rank,
-            self.form_degree,
-            {k: p.mul(factor) for k, p in self.entries.items()},
-        )
+        return self._with({k: p.mul(factor) for k, p in self.entries.items()})
 
     def components(self) -> dict[int, Poly]:
         """Degree-0 only: mapping output index to component polynomial."""
@@ -254,24 +247,22 @@ class AlgebroidForm:
         idx = tuple(indices)
         if len(idx) != self.form_degree:
             raise ValueError("wrong number of indices")
-        ordered = _sort_indices(idx)
-        if ordered is None:
-            return Poly.zero(self.base_dim)
-        sign, key = ordered
-        poly = self.entries.get((key, out))
-        if poly is None:
-            return Poly.zero(self.base_dim)
-        return poly if sign > 0 else poly.neg()
+        return _antisymmetrized(self.entries, idx, out, self.base_dim)
+
+    def _by_input(self) -> dict[tuple[int, ...], list[tuple[int, Poly]]]:
+        """The entries grouped by input index tuple, as ``(output, coefficient)``."""
+        grouped: dict[tuple[int, ...], list[tuple[int, Poly]]] = {}
+        for (key, out), poly in self.entries.items():
+            grouped.setdefault(key, []).append((out, poly))
+        return grouped
 
     def evaluate(self, sections: Sequence["AlgebroidForm"]) -> "AlgebroidForm":
         """Multilinear evaluation on sections; the result is a section."""
         if len(sections) != self.form_degree:
             raise ValueError("wrong number of arguments")
-        by_key: dict[tuple[int, ...], list[tuple[int, Poly]]] = {}
-        for (key, out), poly in self.entries.items():
-            by_key.setdefault(key, []).append((out, poly))
+        by_key = self._by_input()
         supports = [s.components() for s in sections]
-        acc: dict[int, Poly] = {}
+        acc: dict[tuple[tuple[int, ...], int], Poly] = {}
         for combo in product(*[list(s.items()) for s in supports]):
             ordered = _sort_indices(tuple(i for i, _ in combo))
             if ordered is None:
@@ -285,8 +276,9 @@ class AlgebroidForm:
                 weight = weight.mul(comp)
             for out, poly in outputs:
                 term = weight.mul(poly)
-                acc[out] = acc.get(out, Poly.zero(self.base_dim)).add(term)
-        return AlgebroidForm.section(self.base_dim, self.rank, acc)
+                slot = ((), out)
+                acc[slot] = acc[slot].add(term) if slot in acc else term
+        return self._with(acc, 0)
 
     def _check_compatible(self, other: "AlgebroidForm") -> None:
         if (
@@ -384,15 +376,15 @@ def _check_field(A: PolyAlgebroid, X: "GradedField") -> None:
         raise ValueError("field lives on a different algebroid")
 
 
-def _anchor_derivative(A: PolyAlgebroid, i: int, h: Poly) -> Poly:
-    """The i-th frame anchor applied to a base function."""
-    acc = Poly.zero(A.base_dim)
-    for alpha in range(1, A.base_dim + 1):
-        rho = A.anchor[i - 1][alpha - 1]
-        if rho.is_zero():
-            continue
-        acc = acc.add(rho.mul(h.partial(alpha)))
-    return acc
+def _anchor_image(A: PolyAlgebroid, X: AlgebroidForm) -> dict[int, Poly]:
+    """Components of the base vector field that the anchor sends ``X`` to."""
+    out: dict[int, Poly] = {}
+    for i, fi in X.components().items():
+        for alpha, rho in enumerate(A.anchor[i - 1], 1):
+            if not rho.is_zero():
+                term = fi.mul(rho)
+                out[alpha] = out[alpha].add(term) if alpha in out else term
+    return out
 
 
 def anchor_apply(A: PolyAlgebroid, X: AlgebroidForm, h: Poly) -> Poly:
@@ -401,8 +393,8 @@ def anchor_apply(A: PolyAlgebroid, X: AlgebroidForm, h: Poly) -> Poly:
     if h.n_vars != A.base_dim:
         raise ValueError("function variable count mismatch")
     acc = Poly.zero(A.base_dim)
-    for i, fi in X.components().items():
-        acc = acc.add(fi.mul(_anchor_derivative(A, i, h)))
+    for alpha, v in _anchor_image(A, X).items():
+        acc = acc.add(v.mul(h.partial(alpha)))
     return acc
 
 
@@ -417,28 +409,33 @@ def section_bracket(A: PolyAlgebroid, X: AlgebroidForm, Y: AlgebroidForm) -> Alg
     _check_section(A, Y)
     f = X.components()
     g = Y.components()
-    out: dict[int, Poly] = {}
+    out: dict[tuple[tuple[int, ...], int], Poly] = {}
 
     def bump(q: int, poly: Poly) -> None:
-        if poly.is_zero():
-            return
-        out[q] = out.get(q, Poly.zero(A.base_dim)).add(poly)
+        if not poly.is_zero():
+            slot = ((), q)
+            out[slot] = out[slot].add(poly) if slot in out else poly
 
-    for i, fi in f.items():
-        for q, gq in g.items():
-            bump(q, fi.mul(_anchor_derivative(A, i, gq)))
-    for j, gj in g.items():
-        for q, fq in f.items():
-            bump(q, gj.mul(_anchor_derivative(A, j, fq)).neg())
+    # rho(X) differentiates the components of Y, and -rho(Y) those of X.
+    rho_x = _anchor_image(A, X)
+    minus_rho_y = {alpha: v.neg() for alpha, v in _anchor_image(A, Y).items()}
+    for field, comps in ((rho_x, g), (minus_rho_y, f)):
+        for q, h in comps.items():
+            for alpha, v in field.items():
+                dh = h.partial(alpha)
+                if not dh.is_zero():
+                    bump(q, v.mul(dh))
+    # Only frame pairs with a stored bracket carry a structure term.
     for i, fi in f.items():
         for j, gj in g.items():
-            cvec = A.structure_vector(i, j)
-            weight = fi.mul(gj)
-            for q in range(1, A.rank + 1):
-                c = cvec[q - 1]
+            cvec = A.structure.get((i, j) if i < j else (j, i))
+            if cvec is None:
+                continue
+            weight = fi.mul(gj) if i < j else fi.mul(gj).neg()
+            for q, c in enumerate(cvec, 1):
                 if not c.is_zero():
                     bump(q, weight.mul(c))
-    return AlgebroidForm.section(A.base_dim, A.rank, out)
+    return X._with(out)
 
 
 @dataclass(frozen=True)
@@ -497,13 +494,13 @@ class GradedField:
 
     def add(self, other: "GradedField") -> "GradedField":
         self._check_compatible(other)
-        a = dict(self.a_part)
-        for key, poly in other.a_part.items():
-            a[key] = a.get(key, Poly.zero(self.base_dim)).add(poly)
-        d = dict(self.d_part)
-        for key, poly in other.d_part.items():
-            d[key] = d.get(key, Poly.zero(self.base_dim)).add(poly)
-        return GradedField(self.base_dim, self.rank, self.degree, a, d)
+        return GradedField(
+            self.base_dim,
+            self.rank,
+            self.degree,
+            _merged(self.a_part, other.a_part),
+            _merged(self.d_part, other.d_part),
+        )
 
     def sub(self, other: "GradedField") -> "GradedField":
         return self.add(other.neg())
@@ -605,58 +602,14 @@ def field_apply(X: GradedField, F: FiberForm) -> FiberForm:
     return FiberForm(m, X.rank, F.degree + X.degree, out)
 
 
-def commutator_from_action(X: GradedField, Y: GradedField) -> GradedField:
-    """The graded commutator rebuilt from its action on generators.
-
-    A derivation of the function algebra is determined by what it does to
-    the base coordinates and the odd generators, so composing the two
-    actions on exactly those inputs reconstructs the bracket. Kept public
-    as the permanent cross-check of :func:`graded_commutator`.
-    """
-    _check_same_shape(X, Y)
-    m, n = X.base_dim, X.rank
-    sign = -1 if (X.degree * Y.degree) % 2 else 1
-
-    def composed(F: FiberForm) -> FiberForm:
-        upper = field_apply(X, field_apply(Y, F))
-        lower = field_apply(Y, field_apply(X, F))
-        return upper.sub(lower.scale(sign))
-
-    a_part: dict[tuple[tuple[int, ...], int], Poly] = {}
-    for alpha in range(1, m + 1):
-        G = composed(FiberForm.coordinate(m, n, alpha))
-        for I, poly in G.entries.items():
-            a_part[(I, alpha)] = poly
-    d_part: dict[tuple[tuple[int, ...], int], Poly] = {}
-    for beta in range(1, n + 1):
-        G = composed(FiberForm.fiber_coordinate(m, n, beta))
-        for J, poly in G.entries.items():
-            d_part[(J, beta)] = poly
-    return GradedField(m, n, X.degree + Y.degree, a_part, d_part)
-
-
 def _a_coeff(X: GradedField, word: tuple[int, ...], alpha: int) -> Poly:
     """Base-part coefficient on an arbitrary index word, antisymmetrized."""
-    ordered = _sort_indices(word)
-    if ordered is None:
-        return Poly.zero(X.base_dim)
-    sign, key = ordered
-    poly = X.a_part.get((key, alpha))
-    if poly is None:
-        return Poly.zero(X.base_dim)
-    return poly if sign > 0 else poly.neg()
+    return _antisymmetrized(X.a_part, word, alpha, X.base_dim)
 
 
 def _d_coeff(X: GradedField, word: tuple[int, ...], beta: int) -> Poly:
     """Fiber-part coefficient on an arbitrary index word, antisymmetrized."""
-    ordered = _sort_indices(word)
-    if ordered is None:
-        return Poly.zero(X.base_dim)
-    sign, key = ordered
-    poly = X.d_part.get((key, beta))
-    if poly is None:
-        return Poly.zero(X.base_dim)
-    return poly if sign > 0 else poly.neg()
+    return _antisymmetrized(X.d_part, word, beta, X.base_dim)
 
 
 def graded_commutator(X: GradedField, Y: GradedField) -> GradedField:
@@ -665,9 +618,9 @@ def graded_commutator(X: GradedField, Y: GradedField) -> GradedField:
     Computed from the closed-form shuffle expansion of the coefficients:
     four blocks for the base part (each field differentiating or plugging
     into the other) and four for the fiber part, with the sign
-    ``(-1)^(|X||Y|)`` between the two orders. The composition route
-    :func:`commutator_from_action` recomputes the same field from first
-    principles and the test suite keeps the two in exact agreement.
+    ``(-1)^(|X||Y|)`` between the two orders. The test suite recomputes
+    the same field from first principles, by composing the two actions on
+    generators, and keeps the two in exact agreement.
     """
     _check_same_shape(X, Y)
     m, n = X.base_dim, X.rank
@@ -986,9 +939,10 @@ def fn_bracket_on_sections(
 ) -> AlgebroidForm:
     """The Frolicher-Nijenhuis five-sum over the extended section bracket.
 
-    Same shape as the tangent-space formula in :mod:`njkit.forms`, with the
-    algebroid bracket in place of the vector-field bracket; on the trivial
-    algebroid the two agree entry for entry.
+    On the tangent algebroid this is the classical coordinate formula with
+    the Lie bracket of vector fields. The two sums that plug a bracket of
+    arguments back into ``K`` or ``L`` vanish on commuting frames, but not
+    on general sections.
     """
     _check_form(A, K)
     _check_form(A, L)
@@ -998,7 +952,7 @@ def fn_bracket_on_sections(
         raise ValueError(f"expected {k + l} sections, got {len(args)}")
     for E in args:
         _check_section(A, E)
-    acc = AlgebroidForm.zero(A.base_dim, A.rank, 0)
+    acc = K._with({}, 0)
 
     for sigma in enumerate_shuffles((k, l)):
         word = sigma.gather(args)
@@ -1056,30 +1010,38 @@ def algebroid_fn_bracket(
         value = fn_bracket_on_sections(A, K, L, tuple(basis[t - 1] for t in T))
         for q, poly in value.components().items():
             entries[(T, q)] = poly
-    return AlgebroidForm(m, n, deg, entries)
+    return K._with(entries, deg)
+
+
+def _torsion_on_frames(
+    P: AlgebroidForm, bracket: Callable[[AlgebroidForm, AlgebroidForm], AlgebroidForm]
+) -> AlgebroidForm:
+    """``[PX, PY] - P[PX, Y] - P[X, PY] + P^2[X, Y]`` for the given bracket
+    of sections, assembled on frame pairs."""
+    m, n = P.base_dim, P.rank
+    basis = [AlgebroidForm.basis_section(m, n, i) for i in range(1, n + 1)]
+    entries: dict[tuple[tuple[int, ...], int], Poly] = {}
+    for i, j in combinations(range(1, n + 1), 2):
+        Ei, Ej = basis[i - 1], basis[j - 1]
+        Pi, Pj = P.evaluate((Ei,)), P.evaluate((Ej,))
+        value = bracket(Pi, Pj)
+        value = value.sub(P.evaluate((bracket(Pi, Ej),)))
+        value = value.sub(P.evaluate((bracket(Ei, Pj),)))
+        value = value.add(P.evaluate((P.evaluate((bracket(Ei, Ej),)),)))
+        for q, poly in value.components().items():
+            entries[((i, j), q)] = poly
+    return P._with(entries, 2)
 
 
 def algebroid_torsion(A: PolyAlgebroid, P: AlgebroidForm) -> AlgebroidForm:
     """Nijenhuis torsion of an operator on sections, from the definition.
 
     Assembled on frame pairs. The square-of-P term keeps its bracket
-    because frame sections need not commute here, unlike the coordinate
-    frame of the tangent case.
+    because frame sections need not commute; on the coordinate frame of the
+    tangent algebroid it vanishes.
     """
     _check_operator(A, P)
-    m, n = A.base_dim, A.rank
-    basis = [AlgebroidForm.basis_section(m, n, i) for i in range(1, n + 1)]
-    entries: dict[tuple[tuple[int, ...], int], Poly] = {}
-    for i, j in combinations(range(1, n + 1), 2):
-        Ei, Ej = basis[i - 1], basis[j - 1]
-        Pi, Pj = P.evaluate((Ei,)), P.evaluate((Ej,))
-        value = section_bracket(A, Pi, Pj)
-        value = value.sub(P.evaluate((section_bracket(A, Pi, Ej),)))
-        value = value.sub(P.evaluate((section_bracket(A, Ei, Pj),)))
-        value = value.add(P.evaluate((P.evaluate((section_bracket(A, Ei, Ej),)),)))
-        for q, poly in value.components().items():
-            entries[((i, j), q)] = poly
-    return AlgebroidForm(m, n, 2, entries)
+    return _torsion_on_frames(P, lambda X, Y: section_bracket(A, X, Y))
 
 
 def algebroid_torsion_coefficients(A: PolyAlgebroid, P: AlgebroidForm) -> AlgebroidForm:
@@ -1139,24 +1101,6 @@ def _d_q(q_field: GradedField, X: GradedField) -> GradedField:
     return graded_commutator(q_field, X).neg()
 
 
-def _monomials(n_vars: int, max_degree: int) -> list[Poly]:
-    """All monomials of total degree <= max_degree, constants first."""
-    out = [Poly.const(n_vars, 1)]
-    frontier = [Poly.const(n_vars, 1)]
-    for _ in range(max_degree):
-        nxt = []
-        for base in frontier:
-            for a in range(1, n_vars + 1):
-                candidate = base.mul(Poly.variable(n_vars, a))
-                if candidate not in nxt:
-                    nxt.append(candidate)
-        for candidate in nxt:
-            if candidate not in out:
-                out.append(candidate)
-        frontier = nxt
-    return out
-
-
 def validate_phi_chain_map(
     A: PolyAlgebroid,
     P: AlgebroidForm,
@@ -1177,7 +1121,9 @@ def validate_phi_chain_map(
     m, n = A.base_dim, A.rank
     q_field = homological_field_q(A)
     rng = random.Random(seed)
-    monos = _monomials(m, max_poly_degree)
+    # Constants first, then by degree: the seeded samples and the failure
+    # labels depend on this order.
+    monos = [Poly(m, {e: 1}) for d in range(max_poly_degree + 1) for e in _monomials(m, d)]
     failures: list[dict] = []
     checked = 0
 
@@ -1334,22 +1280,10 @@ def algebroid_mc_residual(A: PolyAlgebroid, P: AlgebroidForm) -> AlgebroidMCRepo
     axioms hold and the torsion is zero.
     """
     _check_operator(A, P)
-    m, n = A.base_dim, A.rank
     q_field = homological_field_q(A)
     lie_residual = graded_commutator(q_field, q_field)
     bee = b_from_field(q_field)
-    basis = [AlgebroidForm.basis_section(m, n, i) for i in range(1, n + 1)]
-    entries: dict[tuple[tuple[int, ...], int], Poly] = {}
-    for i, j in combinations(range(1, n + 1), 2):
-        Ei, Ej = basis[i - 1], basis[j - 1]
-        Pi, Pj = P.evaluate((Ei,)), P.evaluate((Ej,))
-        value = bee((Pi, Pj))
-        value = value.sub(P.evaluate((bee((Pi, Ej)),)))
-        value = value.sub(P.evaluate((bee((Ei, Pj)),)))
-        value = value.add(P.evaluate((P.evaluate((bee((Ei, Ej)),)),)))
-        for q, poly in value.components().items():
-            entries[((i, j), q)] = poly
-    torsion_residual = AlgebroidForm(m, n, 2, entries)
+    torsion_residual = _torsion_on_frames(P, lambda X, Y: bee((X, Y)))
     return AlgebroidMCReport(
         lie_residual,
         torsion_residual,

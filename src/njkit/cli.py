@@ -50,7 +50,6 @@ from .braces import mc_candidate, mc_residual
 from .cohomology import betti, les_verify
 from .exact import Rational, format_rational, parse_rational
 from .forms import (
-    Poly,
     VectorValuedForm,
     check_homotopy,
     fn_betti,
@@ -70,6 +69,7 @@ from .lie import (
     validate_nijenhuis_representation,
     validate_representation,
 )
+from .poly import Poly
 
 
 class InputError(ValueError):

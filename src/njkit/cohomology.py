@@ -558,6 +558,15 @@ def les_verify(
             return []
         return _matrix_columns(cx.differential_matrix(degree - 1))
 
+    # Rank of the boundary space of each (complex, degree), ranked once.
+    boundary_ranks: dict[tuple[str, int], int] = {}
+
+    def boundary_rank(cx: _Complex, degree: int) -> int:
+        key = (cx.which, degree)
+        if key not in boundary_ranks:
+            boundary_ranks[key] = cx.differential_matrix(degree - 1).rank() if degree else 0
+        return boundary_ranks[key]
+
     def proj_map(degree: int, col: dict[int, Fraction]) -> dict[int, Fraction]:
         pair_keys = njl.keys(degree)
         pos = ce.positions(degree)
@@ -591,53 +600,50 @@ def les_verify(
         z_njo = cocycles(njo, p)
         z_njo_prev = cocycles(njo, p - 1) if p >= 1 else []
 
-        # (name, here-dim, here-cocycles, here-boundaries,
-        #  incoming images, outgoing map, next-dim, next-boundaries)
+        # (name, here-complex, here-degree, here-cocycles, incoming images,
+        #  outgoing map, next-complex, next-degree)
         checks = [
             (
                 f"cone^{p}",
-                njl.dim(p),
+                njl,
+                p,
                 z_njl,
-                boundaries(njl, p),
                 [incl_map(p - 1, c) for c in z_njo_prev],
                 lambda col, p=p: proj_map(p, col),
-                ce.dim(p),
-                boundaries(ce, p),
+                ce,
+                p,
             ),
             (
                 f"lie^{p}",
-                ce.dim(p),
+                ce,
+                p,
                 z_lie,
-                boundaries(ce, p),
                 [proj_map(p, c) for c in z_njl],
                 lambda col, p=p: psi_map(p, col),
-                njo.dim(p),
-                boundaries(njo, p),
+                njo,
+                p,
             ),
             (
                 f"njo^{p}",
-                njo.dim(p),
+                njo,
+                p,
                 z_njo,
-                boundaries(njo, p),
                 [psi_map(p, c) for c in z_lie],
                 lambda col, p=p: incl_map(p, col),
-                njl.dim(p + 1),
-                boundaries(njl, p + 1),
+                njl,
+                p + 1,
             ),
         ]
-        for name, here_dim, here_z, here_b, in_cols, out_fn, next_dim, next_b in checks:
-            dim_h = len(here_z) - _rank_with(here_b, [], here_dim)
-            rank_in = _rank_with(here_b, in_cols, here_dim) - _rank_with(
-                here_b, [], here_dim
-            )
+        for name, here, hp, here_z, in_cols, out_fn, nxt, np_ in checks:
+            here_dim, here_b = here.dim(hp), boundaries(here, hp)
+            next_dim, next_b = nxt.dim(np_), boundaries(nxt, np_)
+            here_rank, next_rank = boundary_rank(here, hp), boundary_rank(nxt, np_)
+            dim_h = len(here_z) - here_rank
+            rank_in = _rank_with(here_b, in_cols, here_dim) - here_rank
             out_cols = [out_fn(z) for z in here_z]
-            rank_out = _rank_with(next_b, out_cols, next_dim) - _rank_with(
-                next_b, [], next_dim
-            )
+            rank_out = _rank_with(next_b, out_cols, next_dim) - next_rank
             comp_cols = [out_fn(c) for c in in_cols]
-            comp_zero = _rank_with(next_b, comp_cols, next_dim) == _rank_with(
-                next_b, [], next_dim
-            )
+            comp_zero = _rank_with(next_b, comp_cols, next_dim) == next_rank
             exact = comp_zero and (rank_in + rank_out == dim_h)
             ok = ok and exact
             nodes.append(

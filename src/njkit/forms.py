@@ -1,475 +1,108 @@
 """Polynomial vector-valued forms on R^n and the bracket calculus on them.
 
-This is the geometric half of the package, specialized to the trivial
-algebroid over R^n with global coordinates: scalar forms and vector-valued
-forms whose coefficients are rational polynomials. All operations are
-exact. The module builds up from the exterior derivative and insertion
-operators to the Richardson-Nijenhuis and Frolicher-Nijenhuis brackets,
-the torsion of a (1,1)-form, and an explicit contracting homotopy that
-verifies the vanishing of the twisted cohomology of the diagonal operator
-``diag(x1, ..., xn)`` degree slice by degree slice.
-
-The Frolicher-Nijenhuis bracket ships with two independent evaluators
-(:func:`fn_bracket` and :func:`fn_bracket_decomposable`) that the test
-suite keeps permanently in agreement; the shuffle-sum signs are the most
-error-prone code here and never lose their cross-check.
+This is the classical, geometric case of the package's Frolicher-Nijenhuis
+calculus: the tangent algebroid of R^n in its coordinate frame.
+:class:`ScalarForm` and :class:`VectorValuedForm` are the scalar and
+section-valued forms of :mod:`njkit.algebroid` with base dimension and rank
+both ``n``, and the Lie bracket of vector fields, the Frolicher-Nijenhuis
+bracket and the torsion of a (1,1)-form are the algebroid operations on
+``trivial_algebroid(n)``. What is specific to R^n lives here: the exterior
+derivative, the insertion operators, the Richardson-Nijenhuis bracket, the
+Lie derivative, and an explicit contracting homotopy that verifies the
+vanishing of the twisted cohomology of the diagonal operator
+``diag(x1, ..., xn)`` degree slice by degree slice. All operations are
+exact.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Iterator, Mapping, Sequence
+from itertools import combinations
+from typing import Callable, Mapping, Sequence
 
+from .algebroid import (
+    AlgebroidForm,
+    FiberForm,
+    algebroid_fn_bracket,
+    algebroid_torsion,
+    fn_bracket_on_sections,
+    trivial_algebroid,
+)
 from .cohomology import BettiReport
-from .exact import Rational, SparseMatrix, enumerate_shuffles, format_rational, parse_rational
+from .exact import SparseMatrix, enumerate_shuffles
 from .lie import ValidationReport
-
-_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-
-
-@dataclass(frozen=True)
-class Poly:
-    """A polynomial in ``x1 .. xn`` over the rationals, stored term-sparsely.
-
-    ``terms`` maps exponent tuples of length ``n_vars`` to nonzero
-    coefficients; the zero polynomial has no terms at all.
-    """
-
-    n_vars: int
-    terms: Mapping[tuple[int, ...], Rational] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        # n_vars == 0 is allowed: constants, used by structures over a point.
-        if self.n_vars < 0:
-            raise ValueError("n_vars must be >= 0")
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            key = tuple(exps)
-            if len(key) != self.n_vars or any(e < 0 for e in key):
-                raise ValueError(f"bad exponent tuple {key} for {self.n_vars} variables")
-            c = Fraction(coeff)
-            if c:
-                clean[key] = clean.get(key, Fraction(0)) + c
-                if not clean[key]:
-                    del clean[key]
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def zero(cls, n_vars: int) -> "Poly":
-        return cls(n_vars, {})
-
-    @classmethod
-    def const(cls, n_vars: int, value: Rational | int) -> "Poly":
-        return cls(n_vars, {(0,) * n_vars: Fraction(value)})
-
-    @classmethod
-    def variable(cls, n_vars: int, i: int) -> "Poly":
-        """The coordinate ``x_i`` (1-based) as a polynomial."""
-        if not 1 <= i <= n_vars:
-            raise ValueError(f"variable index {i} out of range 1..{n_vars}")
-        exps = [0] * n_vars
-        exps[i - 1] = 1
-        return cls(n_vars, {tuple(exps): Fraction(1)})
-
-    @classmethod
-    def parse(cls, text: str, n_vars: int) -> "Poly":
-        """Parse a signed sum of terms ``c*x1^a1*x2^a2*...``.
-
-        ``c`` is a rational literal ``p`` or ``p/q`` and may be omitted when
-        a variable factor is present; ``^1`` may be omitted too. Whitespace
-        is insignificant.
-
-        >>> Poly.parse("3*x1^2 - 1/2*x2", 2) == Poly(2, {(2, 0): 3, (0, 1): Fraction(-1, 2)})
-        True
-        """
-        s = re.sub(r"\s+", "", text)
-        if not s:
-            raise ValueError("empty polynomial string")
-        out: dict[tuple[int, ...], Fraction] = {}
-        pos = 0
-        while pos < len(s):
-            sign = 1
-            if s[pos] == "+":
-                pos += 1
-            elif s[pos] == "-":
-                sign = -1
-                pos += 1
-            end = pos
-            while end < len(s) and s[end] not in "+-":
-                end += 1
-            if end == pos:
-                raise ValueError(f"dangling sign in polynomial: {text!r}")
-            coeff = Fraction(sign)
-            exps = [0] * n_vars
-            for factor in s[pos:end].split("*"):
-                m = _FACTOR_RE.match(factor)
-                if m:
-                    idx = int(m.group(1))
-                    if not 1 <= idx <= n_vars:
-                        raise ValueError(f"variable x{idx} out of range for n_vars={n_vars}")
-                    exps[idx - 1] += int(m.group(2) or 1)
-                else:
-                    coeff *= parse_rational(factor)
-            key = tuple(exps)
-            out[key] = out.get(key, Fraction(0)) + coeff
-            pos = end
-        return cls(n_vars, out)
-
-    def format(self) -> str:
-        """Render in the :meth:`parse` syntax with a deterministic term order."""
-        if not self.terms:
-            return "0"
-        chunks: list[str] = []
-        for exps in sorted(self.terms, key=lambda e: (-sum(e), e)):
-            c = self.terms[exps]
-            factors = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exps) if e]
-            if abs(c) != 1 or not factors:
-                factors.insert(0, format_rational(abs(c)))
-            term = "*".join(factors)
-            if not chunks:
-                chunks.append(term if c > 0 else "-" + term)
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + term)
-        return " ".join(chunks)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        merged = dict(self.terms)
-        for key, c in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + c
-        return Poly(self.n_vars, merged)
-
-    def sub(self, other: "Poly") -> "Poly":
-        return self.add(other.neg())
-
-    def neg(self) -> "Poly":
-        return Poly(self.n_vars, {key: -c for key, c in self.terms.items()})
-
-    def scale(self, factor: Rational | int) -> "Poly":
-        f = Fraction(factor)
-        if not f:
-            return Poly.zero(self.n_vars)
-        return Poly(self.n_vars, {key: c * f for key, c in self.terms.items()})
-
-    def mul(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return Poly(self.n_vars, out)
-
-    def partial(self, i: int) -> "Poly":
-        """Partial derivative with respect to ``x_i`` (1-based)."""
-        if not 1 <= i <= self.n_vars:
-            raise ValueError(f"variable index {i} out of range 1..{self.n_vars}")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[i - 1]
-            if e:
-                key = exps[: i - 1] + (e - 1,) + exps[i:]
-                out[key] = out.get(key, Fraction(0)) + c * e
-        return Poly(self.n_vars, out)
-
-    def degree_support(self) -> set[int]:
-        """Total degrees of the monomials actually present."""
-        return {sum(exps) for exps in self.terms}
-
-    def _check_compatible(self, other: "Poly") -> None:
-        if self.n_vars != other.n_vars:
-            raise ValueError("polynomials live over different variable counts")
+from .poly import Poly, _merge_indices, _monomials
 
 
-def _sort_indices(indices: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Sort an index word, returning ``(sign, sorted)``; ``None`` on repeats."""
-    seq = list(indices)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] == seq[j]:
-                return None
-            if seq[i] > seq[j]:
-                seq[i], seq[j] = seq[j], seq[i]
-                sign = -sign
-    return sign, tuple(seq)
-
-
-def _merge_indices(
-    left: tuple[int, ...], right: tuple[int, ...]
-) -> tuple[int, tuple[int, ...]] | None:
-    """Merge two increasing index tuples with the wedge sign.
-
-    The sign counts the transpositions needed to sort the concatenation;
-    shared indices give ``None`` (the wedge vanishes).
-    """
-    if set(left) & set(right):
-        return None
-    inversions = sum(1 for a in left for b in right if a > b)
-    merged = tuple(sorted(left + right))
-    return (-1 if inversions % 2 else 1), merged
-
-
-def _check_index_tuple(key: tuple[int, ...], degree: int, n_vars: int) -> None:
-    if len(key) != degree:
-        raise ValueError(f"index tuple {key} has wrong length for degree {degree}")
-    if any(not 1 <= i <= n_vars for i in key):
-        raise ValueError(f"index tuple {key} out of range 1..{n_vars}")
-    if any(key[t] >= key[t + 1] for t in range(len(key) - 1)):
-        raise ValueError(f"index tuple {key} must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class ScalarForm:
-    """A differential form with polynomial coefficients.
+class ScalarForm(FiberForm):
+    """A differential form on R^n with polynomial coefficients.
 
     ``entries[(i1, ..., ip)]`` with ``i1 < ... < ip`` (1-based) is the
     coefficient of ``dx^i1 ^ ... ^ dx^ip``; other index words are reached
-    through :meth:`coefficient`, which antisymmetrizes.
+    through :meth:`coefficient`, which antisymmetrizes. A scalar form of the
+    tangent algebroid, so ``base_dim == rank == n_vars``.
     """
 
-    n_vars: int
-    degree: int
-    entries: Mapping[tuple[int, ...], Poly] = field(default_factory=dict)
+    def __init__(
+        self, n_vars: int, degree: int, entries: Mapping[tuple[int, ...], Poly] | None = None
+    ) -> None:
+        super().__init__(n_vars, n_vars, degree, {} if entries is None else entries)
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
-        clean: dict[tuple[int, ...], Poly] = {}
-        for key, poly in self.entries.items():
-            key = tuple(key)
-            _check_index_tuple(key, self.degree, self.n_vars)
-            if poly.n_vars != self.n_vars:
-                raise ValueError("coefficient variable count mismatch")
-            if not poly.is_zero():
-                clean[key] = poly
-        object.__setattr__(self, "entries", clean)
+    @property
+    def n_vars(self) -> int:
+        return self.base_dim
 
     @classmethod
     def zero(cls, n_vars: int, degree: int) -> "ScalarForm":
-        return cls(n_vars, degree, {})
+        return ScalarForm(n_vars, degree)
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def add(self, other: "ScalarForm") -> "ScalarForm":
-        self._check_compatible(other)
-        merged = dict(self.entries)
-        for key, poly in other.entries.items():
-            merged[key] = merged.get(key, Poly.zero(self.n_vars)).add(poly)
-        return ScalarForm(self.n_vars, self.degree, merged)
-
-    def sub(self, other: "ScalarForm") -> "ScalarForm":
-        return self.add(other.neg())
-
-    def neg(self) -> "ScalarForm":
-        return ScalarForm(self.n_vars, self.degree, {k: p.neg() for k, p in self.entries.items()})
-
-    def scale(self, factor: Rational | int) -> "ScalarForm":
-        return ScalarForm(
-            self.n_vars, self.degree, {k: p.scale(factor) for k, p in self.entries.items()}
-        )
-
-    def coefficient(self, indices: Sequence[int]) -> Poly:
-        """Value on the coordinate fields named by ``indices``, in any order."""
-        idx = tuple(indices)
-        if len(idx) != self.degree:
-            raise ValueError("wrong number of indices")
-        ordered = _sort_indices(idx)
-        if ordered is None:
-            return Poly.zero(self.n_vars)
-        sign, key = ordered
-        poly = self.entries.get(key)
-        if poly is None:
-            return Poly.zero(self.n_vars)
-        return poly if sign > 0 else poly.neg()
-
-    def wedge(self, other: "ScalarForm") -> "ScalarForm":
-        """Exterior product; index tuples merge by sorting with a sign."""
-        if self.n_vars != other.n_vars:
-            raise ValueError("forms live over different variable counts")
-        out: dict[tuple[int, ...], Poly] = {}
-        for left, p in self.entries.items():
-            for right, q in other.entries.items():
-                merged = _merge_indices(left, right)
-                if merged is None:
-                    continue
-                sign, key = merged
-                term = p.mul(q)
-                if sign < 0:
-                    term = term.neg()
-                out[key] = out.get(key, Poly.zero(self.n_vars)).add(term)
-        return ScalarForm(self.n_vars, self.degree + other.degree, out)
-
-    def evaluate(self, fields: Sequence["VectorValuedForm"]) -> Poly:
-        """Multilinear evaluation on degree-0 vector-valued forms."""
-        if len(fields) != self.degree:
-            raise ValueError("wrong number of arguments")
-        supports = [f.components() for f in fields]
-        acc = Poly.zero(self.n_vars)
-        for combo in product(*[list(s.items()) for s in supports]):
-            coeff = self.coefficient(tuple(a for a, _ in combo))
-            if coeff.is_zero():
-                continue
-            for _, comp in combo:
-                coeff = coeff.mul(comp)
-            acc = acc.add(coeff)
-        return acc
-
-    def _check_compatible(self, other: "ScalarForm") -> None:
-        if self.n_vars != other.n_vars or self.degree != other.degree:
-            raise ValueError("form shape mismatch")
+    def _with(self, entries: Mapping, degree: int | None = None) -> "ScalarForm":
+        return ScalarForm(self.n_vars, self.degree if degree is None else degree, entries)
 
 
-@dataclass(frozen=True)
-class VectorValuedForm:
+class VectorValuedForm(AlgebroidForm):
     """A vector-field-valued form, stored on ``(index tuple, output index)``.
 
     Degree-0 entries have keys ``((), a)``; those are plain polynomial
     vector fields. Only strictly increasing index tuples are stored, and
-    evaluation antisymmetrizes with the permutation sign.
+    evaluation antisymmetrizes with the permutation sign. A section-valued
+    form of the tangent algebroid, so ``base_dim == rank == n_vars``.
     """
 
-    n_vars: int
-    form_degree: int
-    entries: Mapping[tuple[tuple[int, ...], int], Poly] = field(default_factory=dict)
+    def __init__(
+        self,
+        n_vars: int,
+        form_degree: int,
+        entries: Mapping[tuple[tuple[int, ...], int], Poly] | None = None,
+    ) -> None:
+        super().__init__(n_vars, n_vars, form_degree, {} if entries is None else entries)
 
-    def __post_init__(self) -> None:
-        if self.form_degree < 0:
-            raise ValueError("form degree must be >= 0")
-        clean: dict[tuple[tuple[int, ...], int], Poly] = {}
-        for (key, out), poly in self.entries.items():
-            key = tuple(key)
-            _check_index_tuple(key, self.form_degree, self.n_vars)
-            if not 1 <= out <= self.n_vars:
-                raise ValueError(f"output index {out} out of range 1..{self.n_vars}")
-            if poly.n_vars != self.n_vars:
-                raise ValueError("coefficient variable count mismatch")
-            if not poly.is_zero():
-                clean[(key, out)] = poly
-        object.__setattr__(self, "entries", clean)
+    @property
+    def n_vars(self) -> int:
+        return self.base_dim
 
     @classmethod
     def zero(cls, n_vars: int, form_degree: int) -> "VectorValuedForm":
-        return cls(n_vars, form_degree, {})
+        return VectorValuedForm(n_vars, form_degree)
 
     @classmethod
     def vector_field(cls, n_vars: int, components: Mapping[int, Poly]) -> "VectorValuedForm":
         """A degree-0 form from its components (1-based output indices)."""
-        return cls(n_vars, 0, {((), a): p for a, p in components.items()})
+        return VectorValuedForm(n_vars, 0, {((), a): p for a, p in components.items()})
 
     @classmethod
     def basis_field(cls, n_vars: int, a: int) -> "VectorValuedForm":
         """The coordinate vector field along ``x_a``."""
-        return cls.vector_field(n_vars, {a: Poly.const(n_vars, 1)})
+        return VectorValuedForm.vector_field(n_vars, {a: Poly.const(n_vars, 1)})
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def add(self, other: "VectorValuedForm") -> "VectorValuedForm":
-        self._check_compatible(other)
-        merged = dict(self.entries)
-        for key, poly in other.entries.items():
-            merged[key] = merged.get(key, Poly.zero(self.n_vars)).add(poly)
-        return VectorValuedForm(self.n_vars, self.form_degree, merged)
-
-    def sub(self, other: "VectorValuedForm") -> "VectorValuedForm":
-        return self.add(other.neg())
-
-    def neg(self) -> "VectorValuedForm":
-        return VectorValuedForm(
-            self.n_vars, self.form_degree, {k: p.neg() for k, p in self.entries.items()}
-        )
-
-    def scale(self, factor: Rational | int) -> "VectorValuedForm":
-        return VectorValuedForm(
-            self.n_vars, self.form_degree, {k: p.scale(factor) for k, p in self.entries.items()}
-        )
-
-    def components(self) -> dict[int, Poly]:
-        """Degree-0 only: mapping output index to component polynomial."""
-        if self.form_degree != 0:
-            raise ValueError("components() needs a degree-0 form")
-        return {out: p for (_, out), p in self.entries.items()}
-
-    def coefficient(self, indices: Sequence[int], out: int) -> Poly:
-        """Coefficient on an arbitrary index word, antisymmetrized."""
-        idx = tuple(indices)
-        if len(idx) != self.form_degree:
-            raise ValueError("wrong number of indices")
-        ordered = _sort_indices(idx)
-        if ordered is None:
-            return Poly.zero(self.n_vars)
-        sign, key = ordered
-        poly = self.entries.get((key, out))
-        if poly is None:
-            return Poly.zero(self.n_vars)
-        return poly if sign > 0 else poly.neg()
-
-    def evaluate(self, fields: Sequence["VectorValuedForm"]) -> "VectorValuedForm":
-        """Multilinear evaluation on degree-0 forms; the result is degree 0."""
-        if len(fields) != self.form_degree:
-            raise ValueError("wrong number of arguments")
-        by_key: dict[tuple[int, ...], list[tuple[int, Poly]]] = {}
-        for (key, out), poly in self.entries.items():
-            by_key.setdefault(key, []).append((out, poly))
-        supports = [f.components() for f in fields]
-        acc: dict[int, Poly] = {}
-        for combo in product(*[list(s.items()) for s in supports]):
-            ordered = _sort_indices(tuple(a for a, _ in combo))
-            if ordered is None:
-                continue
-            sign, key = ordered
-            outputs = by_key.get(key)
-            if not outputs:
-                continue
-            weight = Poly.const(self.n_vars, sign)
-            for _, comp in combo:
-                weight = weight.mul(comp)
-            for out, poly in outputs:
-                term = weight.mul(poly)
-                acc[out] = acc.get(out, Poly.zero(self.n_vars)).add(term)
-        return VectorValuedForm.vector_field(self.n_vars, acc)
-
-    def _check_compatible(self, other: "VectorValuedForm") -> None:
-        if self.n_vars != other.n_vars or self.form_degree != other.form_degree:
-            raise ValueError("form shape mismatch")
+    def _with(self, entries: Mapping, degree: int | None = None) -> "VectorValuedForm":
+        degree = self.form_degree if degree is None else degree
+        return VectorValuedForm(self.n_vars, degree, entries)
 
 
 def _check_same_base(a, b) -> None:
     if a.n_vars != b.n_vars:
         raise ValueError("operands live over different variable counts")
-
-
-def _group_by_key(
-    form: VectorValuedForm,
-) -> dict[tuple[int, ...], list[tuple[int, Poly]]]:
-    grouped: dict[tuple[int, ...], list[tuple[int, Poly]]] = {}
-    for (key, out), poly in form.entries.items():
-        grouped.setdefault(key, []).append((out, poly))
-    return grouped
-
-
-def _vf_bracket(v: VectorValuedForm, w: VectorValuedForm) -> VectorValuedForm:
-    """Lie bracket of two polynomial vector fields (degree-0 forms)."""
-    _check_same_base(v, w)
-    n = v.n_vars
-    out: dict[int, Poly] = {}
-    for a, p in v.components().items():
-        for b, q in w.components().items():
-            term = p.mul(q.partial(a))
-            out[b] = out.get(b, Poly.zero(n)).add(term)
-    for a, q in w.components().items():
-        for b, p in v.components().items():
-            term = q.mul(p.partial(a))
-            out[b] = out.get(b, Poly.zero(n)).sub(term)
-    return VectorValuedForm.vector_field(n, out)
 
 
 def de_rham_d(beta: ScalarForm) -> ScalarForm:
@@ -507,7 +140,7 @@ def interior_product(K: VectorValuedForm, beta: ScalarForm) -> ScalarForm:
         return ScalarForm.zero(n, max(a - 1, 0))
     deg = a + l - 1
     shuffles = enumerate_shuffles((a, l - 1))
-    grouped = _group_by_key(K)
+    grouped = K._by_input()
     out: dict[tuple[int, ...], Poly] = {}
     for T in combinations(range(1, n + 1), deg):
         acc = Poly.zero(n)
@@ -535,7 +168,7 @@ def _rn_insertion(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
         return VectorValuedForm.zero(n, max(k - 1, 0))
     deg = k + l - 1
     shuffles = enumerate_shuffles((k, l - 1))
-    grouped_K = _group_by_key(K)
+    grouped_K = K._by_input()
     out: dict[tuple[tuple[int, ...], int], Poly] = {}
     for T in combinations(range(1, n + 1), deg):
         acc: dict[int, Poly] = {}
@@ -579,7 +212,6 @@ def lie_derivative(K: VectorValuedForm, beta: ScalarForm) -> ScalarForm:
     """
     _check_same_base(K, beta)
     k = K.form_degree
-    n = K.n_vars
     first = interior_product(K, de_rham_d(beta))
     if beta.degree == 0:
         # i_K vanishes on functions, so the commutator's second term drops.
@@ -596,111 +228,19 @@ def fn_bracket_on_fields(
 ) -> VectorValuedForm:
     """Evaluate the Frolicher-Nijenhuis five-sum on arbitrary vector fields.
 
-    This is the full coordinate formula, including the two sums that plug a
-    bracket of arguments back into ``K`` or ``L``; those vanish on
-    coordinate fields, so this entry point exists to let tests exercise
+    The two sums that plug a bracket of arguments back into ``K`` or ``L``
+    vanish on coordinate fields, so this entry point lets tests exercise
     them on genuinely non-commuting inputs.
     """
     _check_same_base(K, L)
-    k, l = K.form_degree, L.form_degree
-    n = K.n_vars
-    args = tuple(fields)
-    if len(args) != k + l:
-        raise ValueError(f"expected {k + l} vector fields, got {len(args)}")
-    acc = VectorValuedForm.zero(n, 0)
-
-    for sigma in enumerate_shuffles((k, l)):
-        word = sigma.gather(args)
-        term = _vf_bracket(K.evaluate(word[:k]), L.evaluate(word[k:]))
-        acc = acc.add(term if sigma.sign() > 0 else term.neg())
-
-    if l >= 1:
-        for sigma in enumerate_shuffles((k, 1, l - 1)):
-            word = sigma.gather(args)
-            plugged = _vf_bracket(K.evaluate(word[:k]), word[k])
-            term = L.evaluate((plugged,) + word[k + 1 :])
-            acc = acc.sub(term if sigma.sign() > 0 else term.neg())
-
-    if k >= 1:
-        outer = -1 if (k * l) % 2 else 1
-        for sigma in enumerate_shuffles((l, 1, k - 1)):
-            word = sigma.gather(args)
-            plugged = _vf_bracket(L.evaluate(word[:l]), word[l])
-            term = K.evaluate((plugged,) + word[l + 1 :]).scale(outer)
-            acc = acc.add(term if sigma.sign() > 0 else term.neg())
-
-    if k >= 1 and l >= 1:
-        outer = 1 if k % 2 else -1  # the -(-1)^k prefactor
-        for sigma in enumerate_shuffles((2, k - 1, l - 1)):
-            word = sigma.gather(args)
-            inner = K.evaluate((_vf_bracket(word[0], word[1]),) + word[2 : k + 1])
-            term = L.evaluate((inner,) + word[k + 1 :]).scale(outer)
-            acc = acc.add(term if sigma.sign() > 0 else term.neg())
-
-        outer = -1 if ((k - 1) * l) % 2 else 1  # the +(-1)^((k-1) l) prefactor
-        for sigma in enumerate_shuffles((2, l - 1, k - 1)):
-            word = sigma.gather(args)
-            inner = L.evaluate((_vf_bracket(word[0], word[1]),) + word[2 : l + 1])
-            term = K.evaluate((inner,) + word[l + 1 :]).scale(outer)
-            acc = acc.add(term if sigma.sign() > 0 else term.neg())
-
-    return acc
+    return fn_bracket_on_sections(trivial_algebroid(K.n_vars), K, L, fields)
 
 
 def fn_bracket(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
-    """Frolicher-Nijenhuis bracket, assembled from the coordinate five-sum.
-
-    The coefficients come from :func:`fn_bracket_on_fields` on coordinate
-    fields (where the argument-bracket sums drop out);
-    :func:`fn_bracket_decomposable` recomputes the same bracket along a
-    completely different route and stays in the package as its permanent
-    cross-check.
-    """
+    """Frolicher-Nijenhuis bracket, assembled from the five-sum on
+    coordinate fields (where the argument-bracket sums drop out)."""
     _check_same_base(K, L)
-    n = K.n_vars
-    deg = K.form_degree + L.form_degree
-    basis = [VectorValuedForm.basis_field(n, a) for a in range(1, n + 1)]
-    entries: dict[tuple[tuple[int, ...], int], Poly] = {}
-    for T in combinations(range(1, n + 1), deg):
-        value = fn_bracket_on_fields(K, L, tuple(basis[t - 1] for t in T))
-        for a, poly in value.components().items():
-            entries[(T, a)] = poly
-    return VectorValuedForm(n, deg, entries)
-
-
-def fn_bracket_decomposable(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
-    """The same bracket from the wedge/Lie-derivative definition.
-
-    Every stored entry is one decomposable summand ``alpha (x) X`` with
-    ``X`` a coordinate field, so the ``alpha ^ beta (x) [X, Y]`` term of
-    the definition drops and four terms survive per pair of summands.
-    """
-    _check_same_base(K, L)
-    n = K.n_vars
-    k, l = K.form_degree, L.form_degree
-    sk = -1 if k % 2 else 1
-    result = VectorValuedForm.zero(n, k + l)
-    for (I, a), p in K.entries.items():
-        alpha = ScalarForm(n, k, {I: p})
-        X = VectorValuedForm.basis_field(n, a)
-        for (J, b), q in L.entries.items():
-            beta = ScalarForm(n, l, {J: q})
-            Y = VectorValuedForm.basis_field(n, b)
-            toward_Y = alpha.wedge(lie_derivative(X, beta))
-            if l >= 1:
-                toward_Y = toward_Y.add(
-                    de_rham_d(alpha).wedge(interior_product(X, beta)).scale(sk)
-                )
-            toward_X = lie_derivative(Y, alpha).wedge(beta).neg()
-            if k >= 1:
-                toward_X = toward_X.add(
-                    interior_product(Y, alpha).wedge(de_rham_d(beta)).scale(sk)
-                )
-            for key, poly in toward_Y.entries.items():
-                result = result.add(VectorValuedForm(n, k + l, {(key, b): poly}))
-            for key, poly in toward_X.entries.items():
-                result = result.add(VectorValuedForm(n, k + l, {(key, a): poly}))
-    return result
+    return algebroid_fn_bracket(trivial_algebroid(K.n_vars), K, L)
 
 
 def nijenhuis_torsion_form(P: VectorValuedForm) -> VectorValuedForm:
@@ -712,18 +252,14 @@ def nijenhuis_torsion_form(P: VectorValuedForm) -> VectorValuedForm:
     """
     if P.form_degree != 1:
         raise ValueError("torsion is defined for (1,1)-forms")
-    n = P.n_vars
-    entries: dict[tuple[tuple[int, ...], int], Poly] = {}
-    for i, j in combinations(range(1, n + 1), 2):
-        ei = VectorValuedForm.basis_field(n, i)
-        ej = VectorValuedForm.basis_field(n, j)
-        pi, pj = P.evaluate((ei,)), P.evaluate((ej,))
-        value = _vf_bracket(pi, pj)
-        value = value.sub(P.evaluate((_vf_bracket(pi, ej),)))
-        value = value.sub(P.evaluate((_vf_bracket(ei, pj),)))
-        for a, poly in value.components().items():
-            entries[((i, j), a)] = poly
-    return VectorValuedForm(n, 2, entries)
+    return algebroid_torsion(trivial_algebroid(P.n_vars), P)
+
+
+def _require_differential(P: VectorValuedForm) -> None:
+    if P.form_degree != 1:
+        raise ValueError("the twisting operator must be a (1,1)-form")
+    if not nijenhuis_torsion_form(P).is_zero():
+        raise ValueError("operator has nonzero torsion; [P,-] is not a differential")
 
 
 def d_fn(P: VectorValuedForm, K: VectorValuedForm) -> VectorValuedForm:
@@ -733,10 +269,7 @@ def d_fn(P: VectorValuedForm, K: VectorValuedForm) -> VectorValuedForm:
     torsion is rejected up front.
     """
     _check_same_base(P, K)
-    if P.form_degree != 1:
-        raise ValueError("the twisting operator must be a (1,1)-form")
-    if not nijenhuis_torsion_form(P).is_zero():
-        raise ValueError("operator has nonzero torsion; [P,-] is not a differential")
+    _require_differential(P)
     return fn_bracket(P, K)
 
 
@@ -775,14 +308,12 @@ def poincare_h(K: VectorValuedForm, n: int) -> VectorValuedForm:
     return VectorValuedForm(n, K.form_degree - 1, out)
 
 
-def _monomials(n: int, max_total: int) -> Iterator[tuple[int, ...]]:
-    """Exponent tuples over ``n`` variables with total degree <= max_total."""
-    if n == 0:
-        yield ()
-        return
-    for e in range(max_total + 1):
-        for rest in _monomials(n - 1, max_total - e):
-            yield (e,) + rest
+def _diagonal_differential(n: int) -> Callable[[VectorValuedForm], VectorValuedForm]:
+    """``d_fn`` of the diagonal operator, its torsion checked once."""
+    P = diagonal_operator(n)
+    _require_differential(P)
+    A = trivial_algebroid(n)
+    return lambda K: algebroid_fn_bracket(A, P, K)
 
 
 def check_homotopy(
@@ -794,20 +325,21 @@ def check_homotopy(
     coefficient has total degree at most ``max_poly_degree``; the identity
     holds exactly on each one or the report lists it.
     """
-    P = diagonal_operator(n)
+    d = _diagonal_differential(n)
+    monos = [e for degree in range(max_poly_degree + 1) for e in _monomials(n, degree)]
     failures: list[dict] = []
     checked = 0
     for j in form_degrees:
         for I in combinations(range(1, n + 1), j):
             for a in range(1, n + 1):
-                for exps in _monomials(n, max_poly_degree):
+                for exps in monos:
                     K = VectorValuedForm(n, j, {(I, a): Poly(n, {exps: Fraction(1)})})
                     if j >= 1:
-                        left = d_fn(P, poincare_h(K, n))
+                        left = d(poincare_h(K, n))
                     else:
                         # h is zero on degree 0, so only the other term acts.
                         left = VectorValuedForm.zero(n, 0)
-                    got = left.add(poincare_h(d_fn(P, K), n))
+                    got = left.add(poincare_h(d(K), n))
                     checked += 1
                     if got != K:
                         failures.append(
@@ -832,10 +364,10 @@ def fn_betti(n: int, max_poly_degree: int, max_form_degree: int) -> dict[int, Be
     rank is an exact integer computation. A violation of the slicing would
     signal an implementation bug and raises.
     """
-    P = diagonal_operator(n)
+    differential = _diagonal_differential(n)
     reports: dict[int, BettiReport] = {}
     for d in range(max_poly_degree + 1):
-        monos = [e for e in _monomials(n, d) if sum(e) == d]
+        monos = list(_monomials(n, d))
 
         def slice_basis(j: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
             return [
@@ -853,7 +385,7 @@ def fn_betti(n: int, max_poly_degree: int, max_form_degree: int) -> dict[int, Be
             matrix = SparseMatrix(len(rows), len(cols))
             for c, (exps, I, a) in enumerate(cols):
                 K = VectorValuedForm(n, j, {(I, a): Poly(n, {exps: Fraction(1)})})
-                image = d_fn(P, K)
+                image = differential(K)
                 for (J, b), poly in image.entries.items():
                     for e, coeff in poly.terms.items():
                         if sum(e) != d:

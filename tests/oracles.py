@@ -1,11 +1,17 @@
-"""Dense per-column routes for the Lie-side complexes, kept only as oracles.
+"""Second routes kept only as oracles for the library's one implementation.
 
-These are the defining formulas evaluated slot by slot: the
-Chevalley-Eilenberg differential as the alternating sum over argument slots
-with the bracket fed in as a coordinate vector, and the comparison map as
+Lie side: the defining formulas evaluated slot by slot. The
+Chevalley-Eilenberg differential is the alternating sum over argument slots
+with the bracket fed in as a coordinate vector, and the comparison map is
 the sum over all ``2^n`` argument subsets that receive ``P``. The library
 assembles the same maps from nonzero entries only (``njkit.cohomology``);
 the tests compare the two entry for entry.
+
+Geometric side: the Frolicher-Nijenhuis bracket from the wedge /
+Lie-derivative definition (against the five-sum on frames in
+``njkit.algebroid``), and the graded commutator of shifted-bundle fields
+rebuilt from its action on generators (against the closed-form shuffle
+expansion).
 """
 
 from __future__ import annotations
@@ -14,8 +20,16 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+from njkit.algebroid import FiberForm, GradedField, field_apply
 from njkit.cohomology import Cochain, PairCochain, _Complex
 from njkit.exact import SparseMatrix
+from njkit.forms import (
+    ScalarForm,
+    VectorValuedForm,
+    de_rham_d,
+    interior_product,
+    lie_derivative,
+)
 from njkit.lie import (
     Endomorphism,
     NijenhuisLieAlgebra,
@@ -29,6 +43,7 @@ from njkit.lie import (
     vector,
     zero_vector,
 )
+from njkit.poly import Poly
 
 
 def evaluate_mixed(f: Cochain, args: Sequence) -> Vector:
@@ -180,3 +195,69 @@ def oracle_matrix(
         for row, value in coords.items():
             m.set(row, col, value)
     return m
+
+
+def fn_bracket_decomposable(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
+    """The Frolicher-Nijenhuis bracket from the wedge/Lie-derivative definition.
+
+    Every stored entry is one decomposable summand ``alpha (x) X`` with
+    ``X`` a coordinate field, so the ``alpha ^ beta (x) [X, Y]`` term of
+    the definition drops and four terms survive per pair of summands.
+    """
+    if K.n_vars != L.n_vars:
+        raise ValueError("operands live over different variable counts")
+    n = K.n_vars
+    k, l = K.form_degree, L.form_degree
+    sk = -1 if k % 2 else 1
+    result = VectorValuedForm.zero(n, k + l)
+    for (I, a), p in K.entries.items():
+        alpha = ScalarForm(n, k, {I: p})
+        X = VectorValuedForm.basis_field(n, a)
+        for (J, b), q in L.entries.items():
+            beta = ScalarForm(n, l, {J: q})
+            Y = VectorValuedForm.basis_field(n, b)
+            toward_Y = alpha.wedge(lie_derivative(X, beta))
+            if l >= 1:
+                toward_Y = toward_Y.add(
+                    de_rham_d(alpha).wedge(interior_product(X, beta)).scale(sk)
+                )
+            toward_X = lie_derivative(Y, alpha).wedge(beta).neg()
+            if k >= 1:
+                toward_X = toward_X.add(
+                    interior_product(Y, alpha).wedge(de_rham_d(beta)).scale(sk)
+                )
+            for key, poly in toward_Y.entries.items():
+                result = result.add(VectorValuedForm(n, k + l, {(key, b): poly}))
+            for key, poly in toward_X.entries.items():
+                result = result.add(VectorValuedForm(n, k + l, {(key, a): poly}))
+    return result
+
+
+def commutator_from_action(X: GradedField, Y: GradedField) -> GradedField:
+    """The graded commutator rebuilt from its action on generators.
+
+    A derivation of the function algebra is determined by what it does to
+    the base coordinates and the odd generators, so composing the two
+    actions on exactly those inputs reconstructs the bracket.
+    """
+    if X.base_dim != Y.base_dim or X.rank != Y.rank:
+        raise ValueError("graded fields live on different algebroids")
+    m, n = X.base_dim, X.rank
+    sign = -1 if (X.degree * Y.degree) % 2 else 1
+
+    def composed(F: FiberForm) -> FiberForm:
+        upper = field_apply(X, field_apply(Y, F))
+        lower = field_apply(Y, field_apply(X, F))
+        return upper.sub(lower.scale(sign))
+
+    a_part: dict[tuple[tuple[int, ...], int], Poly] = {}
+    for alpha in range(1, m + 1):
+        G = composed(FiberForm.coordinate(m, n, alpha))
+        for I, poly in G.entries.items():
+            a_part[(I, alpha)] = poly
+    d_part: dict[tuple[tuple[int, ...], int], Poly] = {}
+    for beta in range(1, n + 1):
+        G = composed(FiberForm.fiber_coordinate(m, n, beta))
+        for J, poly in G.entries.items():
+            d_part[(J, beta)] = poly
+    return GradedField(m, n, X.degree + Y.degree, a_part, d_part)

@@ -58,7 +58,6 @@ from njkit.forms import (
     check_homotopy,
     fn_betti,
     fn_bracket,
-    fn_bracket_decomposable,
     nijenhuis_torsion_form,
 )
 from njkit.lie import (
@@ -76,6 +75,7 @@ from njkit.lie import (
     validate_representation,
     vector,
 )
+from oracles import fn_bracket_decomposable
 
 
 def _finish(num: int, label: str, failures: list[str]) -> None:

@@ -29,7 +29,6 @@ from njkit.forms import (
     diagonal_operator,
     fn_betti,
     fn_bracket,
-    fn_bracket_decomposable,
     fn_bracket_on_fields,
     interior_product,
     lie_derivative,
@@ -37,6 +36,7 @@ from njkit.forms import (
     poincare_h,
     rn_bracket_forms,
 )
+from oracles import fn_bracket_decomposable
 
 
 def _rpoly(rng: random.Random, n: int, max_deg: int = 2, nterms: int = 2) -> Poly:
@@ -363,6 +363,38 @@ def test_fn_bracket_two_routes_agree():
     K = _rvvf(rng, 3, 1, max_deg=1, nterms=1)
     L = _rvvf(rng, 3, 2, max_deg=1, nterms=1)
     assert fn_bracket(K, L) == fn_bracket_decomposable(K, L)
+    # The command-line workload's shape: R^4, cubic coefficients, degrees
+    # (2, 1) and (1, 2).
+    for dk, dl in [(2, 1), (1, 2)]:
+        K = _rvvf(rng, 4, dk, max_deg=3)
+        L = _rvvf(rng, 4, dl, max_deg=3)
+        assert fn_bracket(K, L) == fn_bracket_decomposable(K, L)
+
+
+def test_tangent_forms_keep_their_type():
+    # The tangent forms are views on the algebroid forms of the tangent
+    # algebroid; every operation hands back the tangent type, so results
+    # compare equal to forms built by hand.
+    rng = random.Random(21)
+    n = 2
+    K, L = _rvvf(rng, n, 1, max_deg=1), _rvvf(rng, n, 1, max_deg=1)
+    X = _rfield(rng, n, max_deg=1)
+    alpha, beta = _rscalar(rng, n, 1, max_deg=1), _rscalar(rng, n, 1, max_deg=1)
+    assert K.n_vars == K.base_dim == K.rank == n
+    vector_results = [
+        K.add(L), K.sub(L), K.neg(), K.scale(3), K.evaluate((X,)),
+        VectorValuedForm.zero(n, 2), fn_bracket(K, L), fn_bracket_on_fields(K, L, (X, X)),
+        nijenhuis_torsion_form(K), d_fn(diagonal_operator(n), K), poincare_h(K, n),
+        rn_bracket_forms(K, L),
+    ]
+    assert all(type(r) is VectorValuedForm for r in vector_results)
+    scalar_results = [
+        alpha.add(beta), alpha.neg(), alpha.scale(2), alpha.wedge(beta),
+        ScalarForm.zero(n, 1), de_rham_d(alpha), interior_product(K, alpha),
+        lie_derivative(X, alpha),
+    ]
+    assert all(type(r) is ScalarForm for r in scalar_results)
+    assert K.add(VectorValuedForm.zero(n, 1)) == K
 
 
 def test_fn_bracket_on_vector_fields_is_the_lie_bracket():

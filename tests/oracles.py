@@ -12,15 +12,20 @@ Lie-derivative definition (against the five-sum on frames in
 ``njkit.algebroid``), and the graded commutator of shifted-bundle fields
 rebuilt from its action on generators (against the closed-form shuffle
 expansion).
+
+Brace side: the multi-argument shuffle brace summed straight from its
+definition, over ordered disjoint input subsets with a Koszul sign found by
+bubbling, against the pruned insertion in ``njkit.braces``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from njkit.algebroid import FiberForm, GradedField, field_apply
+from njkit.braces import SuspendedHom, canonical_tuples
 from njkit.cohomology import Cochain, PairCochain, _Complex
 from njkit.exact import SparseMatrix
 from njkit.forms import (
@@ -261,3 +266,65 @@ def commutator_from_action(X: GradedField, Y: GradedField) -> GradedField:
         for J, poly in G.entries.items():
             d_part[(J, beta)] = poly
     return GradedField(m, n, X.degree + Y.degree, a_part, d_part)
+
+
+def _ordered_disjoint_subsets(
+    universe: tuple[int, ...], sizes: Sequence[int]
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    if not sizes:
+        yield ()
+        return
+    for first in combinations(universe, sizes[0]):
+        rest = tuple(p for p in universe if p not in first)
+        for tail in _ordered_disjoint_subsets(rest, sizes[1:]):
+            yield (first,) + tail
+
+
+def brace_subset_sum(f: SuspendedHom, gs: Sequence[SuspendedHom]) -> SuspendedHom:
+    """``f{g_1, ..., g_n}`` summed from its definition.
+
+    On inputs ``x_1, ..., x_N`` one term per choice of disjoint position
+    subsets ``S_1, ..., S_n`` (``|S_t|`` the arity of ``g_t``) with
+    increasing minima. The blocks (each ``S_t`` and every leftover position
+    on its own) are laid out by their minima; the term carries the Koszul
+    sign of that rearrangement, found by bubbling it back, and
+    ``(-1)^(|g_t| * d)`` for each ``g_t``, with ``d`` the input degree laid
+    out before its block. ``f`` then takes the leftover inputs and the
+    values ``g_t(x_{S_t})`` in block order.
+    """
+    arity = f.arity - len(gs) + sum(g.arity for g in gs)
+    values = {}
+    for x in canonical_tuples(f.space, arity):
+        acc: dict = {}
+        for subsets in _ordered_disjoint_subsets(tuple(range(arity)), [g.arity for g in gs]):
+            if any(subsets[t][0] > subsets[t + 1][0] for t in range(len(gs) - 1)):
+                continue
+            used = {p for s in subsets for p in s}
+            blocks = [(s, t) for t, s in enumerate(subsets)]
+            blocks += [((p,), None) for p in range(arity) if p not in used]
+            blocks.sort()
+            order = [p for s, _ in blocks for p in s]
+            sign = 1
+            for end in range(len(order), 1, -1):
+                for j in range(end - 1):
+                    if order[j] > order[j + 1]:
+                        if (x[order[j]][0] * x[order[j + 1]][0]) % 2:
+                            sign = -sign
+                        order[j], order[j + 1] = order[j + 1], order[j]
+            slots = []
+            before = 0
+            for s, t in blocks:
+                if t is None:
+                    slots.append(x[s[0]])
+                else:
+                    if (gs[t].total_degree * before) % 2:
+                        sign = -sign
+                    slots.append(gs[t].evaluate([x[p] for p in s]))
+                before += sum(x[p][0] for p in s)
+            for key, v in f.evaluate_mixed(slots).items():
+                acc[key] = acc.get(key, Fraction(0)) + sign * v
+        acc = {key: v for key, v in acc.items() if v}
+        if acc:
+            values[x] = acc
+    degree = f.total_degree + sum(g.total_degree for g in gs)
+    return SuspendedHom(f.space, arity, degree, f.sv_valued, values)

@@ -54,6 +54,8 @@ from njkit.lie import (
 
 import pytest
 
+from oracles import brace_subset_sum
+
 
 def sl2() -> LieAlgebra:
     return LieAlgebra(
@@ -83,6 +85,8 @@ def broken3() -> LieAlgebra:
 
 
 MIXED = GradedSpace.from_dims({1: 2, 2: 1})
+# An odd part in degree 3 next to odd and even parts in degrees 1 and 2.
+ODD3 = GradedSpace.from_dims({1: 1, 2: 1, 3: 2})
 
 
 def _random_cochain(rng, degree, dim) -> Cochain:
@@ -208,6 +212,57 @@ def test_brace_single_argument_matches_slot_sum():
                     expected[k] = expected.get(k, Fraction(0)) + sign * v
             expected = {k: v for k, v in expected.items() if v}
             assert braced.evaluate(tup) == expected
+
+
+def test_brace_matches_subset_sum_oracle():
+    # One to three arguments, output arity 3 to 5, on two mixed-parity
+    # spaces: the even degree-2 element of MIXED repeats inside a tuple.
+    rng = random.Random(17)
+    cases = [
+        (2, -2, [(2, -2)]),
+        (3, -3, [(2, -2)]),
+        (2, -2, [(3, -3)]),
+        (3, -3, [(3, -3)]),
+        (2, -2, [(1, 0), (2, -2)]),
+        (3, -3, [(2, -2), (1, -1)]),
+        (2, -2, [(2, -2), (2, -3)]),
+        (3, -3, [(2, -2), (2, -2)]),
+        (3, -3, [(1, 0), (1, -1), (1, 0)]),
+        (3, -3, [(1, 0), (2, -2), (1, -1)]),
+        (3, -4, [(2, -2), (1, 0), (2, -3)]),
+    ]
+    for space in (MIXED, ODD3):
+        nonzero = 0
+        for f_arity, f_total, g_specs in cases:
+            f = _random_hom(rng, space, f_arity, f_total, True)
+            gs = [_random_hom(rng, space, a, t, True) for a, t in g_specs]
+            braced = shuffle_brace(f, gs)
+            assert braced == brace_subset_sum(f, gs)
+            nonzero += not braced.is_zero()
+        assert nonzero >= len(cases) - 2
+
+
+def test_brace_is_graded_pre_lie():
+    # (f{g}){h} - f{g{h}} = (-1)^{|g||h|} ((f{h}){g} - f{h{g}})
+    rng = random.Random(19)
+    specs = [(1, 0), (1, -1), (2, -2), (2, -3), (3, -3)]
+    for space in (MIXED, ODD3):
+        nonzero = 0
+        for _ in range(10):
+            f, g, h = (
+                _random_hom(rng, space, *specs[rng.randrange(len(specs))], True)
+                for _ in range(3)
+            )
+            left = shuffle_brace(shuffle_brace(f, [g]), [h]).sub(
+                shuffle_brace(f, [shuffle_brace(g, [h])])
+            )
+            right = shuffle_brace(shuffle_brace(f, [h]), [g]).sub(
+                shuffle_brace(f, [shuffle_brace(h, [g])])
+            )
+            sign = -1 if (g.total_degree * h.total_degree) % 2 else 1
+            assert left == right.scale(sign)
+            nonzero += not left.is_zero()
+        assert nonzero >= 3
 
 
 def test_brace_argument_validation():

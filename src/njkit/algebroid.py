@@ -1243,6 +1243,12 @@ def delta_njld(A: PolyAlgebroid, P: AlgebroidForm, pair: ConePair) -> ConePair:
     differentials.
     """
     _require_nijenhuis(A, P)
+    return _delta_njld(A, P, pair)
+
+
+def _delta_njld(A: PolyAlgebroid, P: AlgebroidForm, pair: ConePair) -> ConePair:
+    """:func:`delta_njld` for a pair already known to be a valid algebroid
+    with a torsion-free operator."""
     _check_field(A, pair.field_part)
     _check_form(A, pair.form_part)
     q_field = homological_field_q(A)

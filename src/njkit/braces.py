@@ -13,17 +13,19 @@ Conventions (fixed once, everything else derives from them)
   element are zero. ``total_degree`` is the honest degree of the map.
 * Reordering arguments costs the Koszul sign of the argument degrees;
   composites pick up the usual tensor-evaluation signs.
-* The brace inserts arguments into a map over all local shuffles ``sigma``:
-  each term reads its inputs as ``x_{sigma(1)}, ..., x_{sigma(N)}``, so every
-  block receives an increasing subset of the inputs, with the sign
-  ``koszul_sign(sigma, degrees)``.
+* The brace ``f{g_1, ..., g_n}`` is a sum over input subsets: one term per
+  choice of disjoint position sets ``S_1, ..., S_n`` with ``|S_t|`` the arity
+  of ``g_t`` and increasing minima. The blocks (each ``S_t``, and each other
+  position on its own) are laid out by their minima, and the term carries
+  the Koszul sign of that layout and ``(-1)^(|g_t| d)`` for each ``g_t``,
+  with ``d`` the degree of the inputs laid out before its block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial
 from typing import Iterator, Mapping, Sequence
 
@@ -31,9 +33,7 @@ from .exact import (
     Permutation,
     SparseMatrix,
     chi_sign,
-    enumerate_local_shuffles,
     enumerate_shuffles,
-    koszul_sign,
 )
 from .lie import Endomorphism, LieAlgebra, vector
 from .cohomology import Cochain
@@ -88,7 +88,13 @@ def _gv_clean(gv: GradedVector) -> GradedVector:
 
 def canonical_tuples(space: GradedSpace, length: int) -> Iterator[tuple[BasisElement, ...]]:
     """Weakly increasing basis tuples with no repeated odd-degree element."""
-    for tup in combinations_with_replacement(space.basis(), length):
+    return _canonical_words(space.basis(), length)
+
+
+def _canonical_words(
+    elements: Sequence[BasisElement], length: int
+) -> Iterator[tuple[BasisElement, ...]]:
+    for tup in combinations_with_replacement(elements, length):
         ok = True
         for t in range(length - 1):
             if tup[t] == tup[t + 1] and tup[t][0] % 2:
@@ -183,21 +189,19 @@ class SuspendedHom:
 
     def evaluate_mixed(self, slots: Sequence) -> GradedVector:
         """Evaluate on a mix of basis elements and graded vectors."""
-        expanded: list[list[tuple[BasisElement, Fraction]]] = []
-        for s in slots:
-            if isinstance(s, tuple):
-                expanded.append([(s, Fraction(1))])
-            else:
-                expanded.append(sorted(s.items()))
+        expanded = [((s, 1),) if isinstance(s, tuple) else tuple(s.items()) for s in slots]
         out: GradedVector = {}
         for combo in product(*expanded):
-            coeff = Fraction(1)
-            chosen = []
-            for el, c in combo:
+            canon = self._canonicalize(tuple(el for el, _ in combo))
+            if canon is None:
+                continue
+            key, coeff = canon
+            base = self.values.get(key)
+            if not base:
+                continue
+            for _, c in combo:
                 coeff *= c
-                chosen.append(el)
-            if coeff:
-                _gv_add(out, self.evaluate(tuple(chosen)), coeff)
+            _gv_add(out, base, coeff)
         return _gv_clean(out)
 
     def add(self, other: "SuspendedHom") -> "SuspendedHom":
@@ -333,13 +337,86 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def shuffle_brace(sf: SuspendedHom, args: Sequence[SuspendedHom]) -> SuspendedHom:
-    """Insert ``args`` into ``sf`` over all local shuffles.
+def _insertions(
+    x: tuple[BasisElement, ...],
+    gs: Sequence[SuspendedHom],
+    singles: int,
+    read: set[BasisElement],
+) -> Iterator[tuple[list, int]]:
+    """Yield ``(slots, sign)`` for each routing of the inputs ``x`` that
+    :func:`shuffle_brace` sums over, skipping those that hand the outer map
+    a single input outside ``read`` or an inserted value with no component
+    in ``read``: the outer map vanishes on them.
 
-    Each local shuffle ``sigma`` contributes one term, which reads the inputs
-    as ``x_{sigma(1)}, ..., x_{sigma(N)}`` (``sigma.gather``) with the sign
-    ``koszul_sign(sigma, degrees)``; the blocks of ``sigma`` are the
-    arguments of ``sf`` in order, each a single input or one of ``args``.
+    Positions are laid out from the left: each free position either stays
+    a single input or opens the next block, which takes the rest of its
+    positions from the free ones to its right.
+    """
+    size = len(x)
+    odd = [d % 2 for d, _ in x]
+    free = [True] * size
+    slots: list = []
+
+    def place(pos: int, t: int, singles_left: int, sign: int, before: int):
+        while pos < size and not free[pos]:
+            pos += 1
+        if pos == size:
+            # Every position is used, so all blocks and singles are placed.
+            yield list(slots), sign
+            return
+        free[pos] = False
+        if singles_left and x[pos] in read:
+            slots.append(x[pos])
+            yield from place(pos + 1, t, singles_left - 1, sign, before + x[pos][0])
+            slots.pop()
+        if t < len(gs):
+            g = gs[t]
+            if (g.total_degree * before) % 2:
+                sign = -sign
+            later = [q for q in range(pos + 1, size) if free[q]]
+            for rest in combinations(later, g.arity - 1):
+                # A subsequence of a canonical tuple is canonical.
+                value = g.values.get((x[pos],) + tuple(x[q] for q in rest))
+                if value is None or read.isdisjoint(value):
+                    continue
+                # Laying the block out moves each of its later inputs past
+                # the free inputs between the block's first position and it.
+                crossed = 0
+                for j, q in enumerate(rest):
+                    if odd[q]:
+                        crossed += sum(odd[r] for r in range(pos + 1, q) if free[r])
+                        crossed -= sum(odd[r] for r in rest[:j])
+                block_degree = x[pos][0]
+                for q in rest:
+                    free[q] = False
+                    block_degree += x[q][0]
+                slots.append(value)
+                yield from place(
+                    pos + 1,
+                    t + 1,
+                    singles_left,
+                    -sign if crossed % 2 else sign,
+                    before + block_degree,
+                )
+                slots.pop()
+                for q in rest:
+                    free[q] = True
+        free[pos] = True
+
+    return place(0, 0, singles, 1, 0)
+
+
+def shuffle_brace(sf: SuspendedHom, args: Sequence[SuspendedHom]) -> SuspendedHom:
+    """Insert ``args = (g_1, ..., g_n)`` into ``sf`` as a sum over input subsets.
+
+    On canonical inputs ``x_1, ..., x_N`` there is one term for each choice
+    of disjoint position sets ``S_1, ..., S_n`` with ``|S_t|`` the arity of
+    ``g_t`` and increasing minima; the other positions are single inputs.
+    The blocks are laid out by their minima and ``sf`` reads, in that
+    order, each single input and each value ``g_t(x_{S_t})``. The term's
+    sign is the Koszul sign of that layout times ``(-1)^(|g_t| d)`` for each
+    ``g_t``, with ``d`` the degree of the inputs laid out before its block.
+    These are the terms of the local shuffles of the block sizes.
 
     Arguments must be suspended-valued; the result keeps ``sf``'s output
     flavor. ``sf{}`` is ``sf`` itself; more arguments than ``sf`` has inputs
@@ -359,46 +436,17 @@ def shuffle_brace(sf: SuspendedHom, args: Sequence[SuspendedHom]) -> SuspendedHo
     out_arity = m - n + sum(g.arity for g in gs)
     out_degree = sf.total_degree + sum(g.total_degree for g in gs)
     result_values: dict[tuple[BasisElement, ...], GradedVector] = {}
-
-    plans = []
-    for gaps in _compositions(m - n, n + 1):
-        # Blocks in order: gaps[0] singletons, g_0, gaps[1] singletons, g_1, ...
-        blocks: list[tuple[str, int, int]] = []  # (kind, arg index, size)
-        for t in range(n):
-            blocks.extend(("id", -1, 1) for _ in range(gaps[t]))
-            blocks.append(("g", t, gs[t].arity))
-        blocks.extend(("id", -1, 1) for _ in range(gaps[n]))
-        sizes = [b[2] for b in blocks]
-        for sigma in enumerate_local_shuffles(sizes):
-            plans.append((blocks, sigma))
-
-    for x in canonical_tuples(space, out_arity):
-        degrees = [d for d, _ in x]
+    if sf.is_zero() or any(g.is_zero() for g in gs):
+        return SuspendedHom(space, out_arity, out_degree, sf.sv_valued, result_values)
+    # Every input is read by some g_t or, as a single input, by sf.
+    read = {e for key in sf.values for e in key}
+    inputs = {e for g in gs for key in g.values for e in key}
+    if m > n:
+        inputs |= read
+    for x in _canonical_words(sorted(inputs), out_arity):
         acc: GradedVector = {}
-        for blocks, sigma in plans:
-            eps = koszul_sign(sigma, degrees)
-            y = sigma.gather(x)
-            # Split y into block segments and evaluate the tensor factor.
-            slots: list = []
-            coeff = Fraction(eps)
-            pos = 0
-            for kind, t, size in blocks:
-                segment = y[pos : pos + size]
-                pos += size
-                if kind == "id":
-                    slots.append(segment[0])
-                else:
-                    before = sum(d for d, _ in y[:pos - size])
-                    if (gs[t].total_degree * before) % 2:
-                        coeff = -coeff
-                    val = gs[t].evaluate(segment)
-                    if not val:
-                        coeff = Fraction(0)
-                        break
-                    slots.append(val)
-            if not coeff:
-                continue
-            _gv_add(acc, sf.evaluate_mixed(slots), coeff)
+        for slots, sign in _insertions(x, gs, m - n, read):
+            _gv_add(acc, sf.evaluate_mixed(slots), Fraction(sign))
         if acc:
             result_values[x] = acc
     return SuspendedHom(space, out_arity, out_degree, sf.sv_valued, result_values)
@@ -493,26 +541,45 @@ class NjlLInfty:
 
     space: GradedSpace
 
-    def l_tagged(self, tagged: Sequence[tuple[str, SuspendedHom]]) -> CNjLElement:
+    def _term(
+        self, tagged: Sequence[tuple[str, SuspendedHom]]
+    ) -> tuple[int, str, SuspendedHom, tuple[SuspendedHom, ...]] | None:
+        """``(sign, kind, head, rest)`` with ``l_tagged(tagged)`` equal to
+        ``sign`` times the bracket of ``head`` and ``rest[0]`` (kind
+        ``"lie"``) or the mixed component on ``head`` and ``rest`` (kind
+        ``"njo"``); ``None`` when the component is zero."""
         tags = [t for t, _ in tagged]
         homs = [h for _, h in tagged]
         n_args = len(tagged)
         if n_args < 2:
-            return CNjLElement()
+            return None
         if tags.count("lie") == 2 and n_args == 2:
-            return CNjLElement(lie=[rn_bracket(homs[0], homs[1])])
+            return 1, "lie", homs[0], (homs[1],)
         if tags.count("lie") != 1:
-            return CNjLElement()
+            return None
         k = tags.index("lie")
         sh = homs[k]
-        gs = [h for t, h in tagged if t == "njo"]
-        n = len(gs)
-        if sh.arity != n:
-            return CNjLElement()
+        gs = tuple(h for t, h in tagged if t == "njo")
+        if sh.arity != len(gs):
+            return None
         # Move the suspended-valued argument to the front.
         front = (sh.total_degree * sum(g.total_degree for g in gs[:k]) + k) % 2
-        out = self._l_lie_first(sh, gs)
-        return out.scale(-1) if front else out
+        return -1 if front else 1, "njo", sh, gs
+
+    def _evaluate(
+        self, kind: str, head: SuspendedHom, rest: tuple[SuspendedHom, ...]
+    ) -> CNjLElement:
+        if kind == "lie":
+            return CNjLElement(lie=[rn_bracket(head, rest[0])])
+        return self._l_lie_first(head, list(rest))
+
+    def l_tagged(self, tagged: Sequence[tuple[str, SuspendedHom]]) -> CNjLElement:
+        term = self._term(tagged)
+        if term is None:
+            return CNjLElement()
+        sign, kind, head, rest = term
+        out = self._evaluate(kind, head, rest)
+        return out.scale(-1) if sign < 0 else out
 
     def _l_lie_first(self, sh: SuspendedHom, gs: list[SuspendedHom]) -> CNjLElement:
         n = len(gs)
@@ -520,30 +587,53 @@ class NjlLInfty:
         out_arity = sum(g.arity for g in gs)
         out_degree = sh.total_degree - 1 + sum(d + 1 for d in degrees)
         acc = SuspendedHom.zero(self.space, out_arity, out_degree, False)
-        sgs = [g.suspend_output() for g in gs]
+        # Permutations that put the same objects in the same places give the
+        # same nested brace: add up their signs and build each one once.
+        signs: dict[tuple[int, tuple[int, ...]], int] = {}
         for images in permutations(range(1, n + 1)):
-            sigma = Permutation(images)
-            chi = chi_sign(sigma, degrees)
+            chi = chi_sign(Permutation(images), degrees)
             eta = n * sh.total_degree
             for p in range(1, n):
                 for j in range(p):
                     eta += degrees[images[j] - 1]
+            order = tuple(id(gs[i - 1]) for i in images)
             for cut in range(n + 1):
                 xi = sh.total_degree * sum(
                     degrees[images[i] - 1] + 1 for i in range(cut)
                 ) + cut
-                inner = shuffle_brace(sh, [sgs[images[i] - 1] for i in range(cut, n)])
-                for j in range(cut - 1, -1, -1):
-                    inner = shuffle_brace(sgs[images[j] - 1], [inner])
                 sign = chi * (-1 if (eta + xi) % 2 else 1)
-                acc = acc.add(inner.desuspend_output().scale(sign))
+                signs[(cut, order)] = signs.get((cut, order), 0) + sign
+        suspended = {id(g): g.suspend_output() for g in gs}
+        for (cut, order), sign in signs.items():
+            if not sign:
+                continue
+            sgs = [suspended[i] for i in order]
+            inner = shuffle_brace(sh, sgs[cut:])
+            for j in range(cut - 1, -1, -1):
+                inner = shuffle_brace(sgs[j], [inner])
+            acc = acc.add(inner.desuspend_output().scale(sign))
         return CNjLElement(njo=[acc])
 
     def l(self, elements: Sequence[CNjLElement]) -> CNjLElement:
-        """Multilinear extension over the components of each element."""
-        out = CNjLElement()
+        """Multilinear extension over the components of each element.
+
+        Rearrangements that hand the same objects to one component are
+        evaluated once, with their signs added up."""
+        signs: dict[tuple, list] = {}
         for combo in product(*[e.tagged() for e in elements]):
-            out = out.add(self.l_tagged(list(combo)))
+            term = self._term(combo)
+            if term is None:
+                continue
+            sign, kind, head, rest = term
+            key = (kind, id(head)) + tuple(id(h) for h in rest)
+            if key in signs:
+                signs[key][0] += sign
+            else:
+                signs[key] = [sign, kind, head, rest]
+        out = CNjLElement()
+        for sign, kind, head, rest in signs.values():
+            if sign:
+                out = out.add(self._evaluate(kind, head, rest).scale(sign))
         return out
 
     def twisted_l1(
@@ -816,9 +906,7 @@ def njl_twisted_betti(
             keys += [("njo",) + k for k in _slice_keys(space, n - 1)]
         return keys
 
-    def coords(e: CNjLElement, n: int) -> dict[int, Fraction]:
-        keys = slice_keys(n)
-        pos = {key: i for i, key in enumerate(keys)}
+    def coords(e: CNjLElement, n: int, pos: dict[tuple, int]) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}
         lie, njo = e.collect()
         for arity, h in lie.items():
@@ -840,11 +928,11 @@ def njl_twisted_betti(
     for n in range(max_degree + 1):
         basis = slice_basis(n)
         dims.append(len(basis))
-        target_keys = slice_keys(n + 1)
-        m = SparseMatrix(len(target_keys), len(basis))
+        target = {key: row for row, key in enumerate(slice_keys(n + 1))}
+        m = SparseMatrix(len(target), len(basis))
         for col, e in enumerate(basis):
             image = structure.twisted_l1(alpha, e)
-            for row, v in coords(image, n + 1).items():
+            for row, v in coords(image, n + 1, target).items():
                 m.set(row, col, v)
         ranks.append(m.rank())
     out = []

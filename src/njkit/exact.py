@@ -176,28 +176,6 @@ def enumerate_shuffles(block_sizes: Sequence[int]) -> list[Permutation]:
     return [Permutation(t) for t in images]
 
 
-def enumerate_local_shuffles(block_sizes: Sequence[int]) -> list[Permutation]:
-    """Shuffles whose images at the block-leading positions also increase.
-
-    >>> [p.images for p in enumerate_local_shuffles((1, 1))]
-    [(1, 2)]
-    >>> len(enumerate_local_shuffles((2, 2)))
-    3
-    """
-    sizes = [k for k in block_sizes if k > 0]
-    starts = []
-    pos = 0
-    for k in sizes:
-        starts.append(pos)
-        pos += k
-    out = []
-    for t in sorted(_shuffle_images(sizes)):
-        leading = [t[s] for s in starts]
-        if all(leading[i] < leading[i + 1] for i in range(len(leading) - 1)):
-            out.append(Permutation(t))
-    return out
-
-
 class SparseMatrix:
     """A sparse matrix over the rationals.
 

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 from njkit.algebroid import FiberForm, GradedField, field_apply
 from njkit.braces import SuspendedHom, canonical_tuples
 from njkit.cohomology import Cochain, PairCochain, _Complex
-from njkit.exact import SparseMatrix
+from njkit.exact import Permutation, SparseMatrix, enumerate_shuffles
 from njkit.forms import (
     ScalarForm,
     VectorValuedForm,
@@ -266,6 +266,30 @@ def commutator_from_action(X: GradedField, Y: GradedField) -> GradedField:
         for J, poly in G.entries.items():
             d_part[(J, beta)] = poly
     return GradedField(m, n, X.degree + Y.degree, a_part, d_part)
+
+
+def enumerate_local_shuffles(block_sizes: Sequence[int]) -> list[Permutation]:
+    """Shuffles whose images at the block-leading positions also increase:
+    the classical index set of the brace, whose terms ``brace_subset_sum``
+    reaches through position subsets instead.
+
+    >>> [p.images for p in enumerate_local_shuffles((1, 1))]
+    [(1, 2)]
+    >>> len(enumerate_local_shuffles((2, 2)))
+    3
+    """
+    sizes = [k for k in block_sizes if k > 0]
+    starts = []
+    pos = 0
+    for k in sizes:
+        starts.append(pos)
+        pos += k
+    out = []
+    for p in enumerate_shuffles(sizes):
+        leading = [p.images[s] for s in starts]
+        if all(leading[i] < leading[i + 1] for i in range(len(leading) - 1)):
+            out.append(p)
+    return out
 
 
 def _ordered_disjoint_subsets(

@@ -47,6 +47,7 @@ from njkit.lie import (
     NijenhuisRepresentation,
     Representation,
     adjoint_nijenhuis,
+    semidirect_nijenhuis,
     validate_lie,
     validate_nijenhuis,
     vector,
@@ -482,6 +483,17 @@ def test_twisted_betti_pinned_value_for_sl2():
     # H(sl2, diagonal operator with a repeated eigenvalue): computed by the
     # cone route and frozen.
     assert njl_twisted_betti(sl2(), Endomorphism.diagonal([2, 5, 2]), 3) == [0, 1, 4, 4]
+
+
+def test_twisted_betti_of_sl2_semidirect_matches_cone_to_degree_3():
+    # Dimension 6 takes the brace to output arity 5 with many nonzero terms;
+    # the local-shuffle route that gathered inputs through the inverse
+    # shuffle gave b_3 = 8 here.
+    base = NijenhuisLieAlgebra(sl2(), Endomorphism.diagonal([1, 1, 2]))
+    nja = semidirect_nijenhuis(base, adjoint_nijenhuis(base))
+    twisted = njl_twisted_betti(nja.algebra, nja.operator, 3)
+    assert twisted == [0, 3, 13, 26]
+    assert twisted == betti(nja, adjoint_nijenhuis(nja), "njl", 3).betti
 
 
 def test_generalized_jacobi_residual_vanishes():

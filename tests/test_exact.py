@@ -13,12 +13,13 @@ from njkit.exact import (
     Permutation,
     SparseMatrix,
     chi_sign,
-    enumerate_local_shuffles,
     enumerate_shuffles,
     format_rational,
     koszul_sign,
     parse_rational,
 )
+
+from oracles import enumerate_local_shuffles
 
 
 def test_parse_rational_accepts_p_and_p_over_q():

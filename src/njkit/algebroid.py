@@ -17,6 +17,11 @@ residuals of a candidate Nijenhuis structure.
 
 Everything is exact: coefficients are rational polynomials and every check is
 a polynomial identity.
+
+The public constructors of the form types check every key, output index
+and coefficient ring. Internal operations build their results through the
+unchecked ``_with`` (and ``Poly._trusted``), which are only for results of
+such operations: keys already in range, coefficients already over the base.
 """
 
 from __future__ import annotations
@@ -58,10 +63,25 @@ def _merged(left: Mapping, right: Mapping) -> dict:
 class _Linear:
     """The vector-space operations shared by the form types.
 
-    ``_with(entries, degree)`` rebuilds a form of the same type on the same
+    ``_with(entries, degree)`` builds a form of the same type on the same
     frame, so the tangent views in :mod:`njkit.forms` keep their own type
-    through sums, scalings and evaluations.
+    through sums, scalings and evaluations. It checks nothing: it is only
+    for results of internal operations, whose keys are in range for the
+    frame and whose coefficients live over its base. Zero entries are
+    dropped.
     """
+
+    _DEGREE: str  # the name of the degree field
+
+    def _with(self, entries: Mapping, degree: int | None = None):
+        form = object.__new__(type(self))
+        form.__dict__.update(
+            base_dim=self.base_dim,
+            rank=self.rank,
+            entries={key: poly for key, poly in entries.items() if poly.terms},
+        )
+        form.__dict__[self._DEGREE] = getattr(self, self._DEGREE) if degree is None else degree
+        return form
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -95,6 +115,8 @@ class FiberForm(_Linear):
     degree: int
     entries: Mapping[tuple[int, ...], Poly] = field(default_factory=dict)
 
+    _DEGREE = "degree"
+
     def __post_init__(self) -> None:
         if self.base_dim < 0:
             raise ValueError("base dimension must be >= 0")
@@ -126,10 +148,6 @@ class FiberForm(_Linear):
         """The k-th odd generator as a degree-1 form."""
         return FiberForm(base_dim, rank, 1, {(k,): Poly.const(base_dim, 1)})
 
-    def _with(self, entries: Mapping, degree: int | None = None) -> "FiberForm":
-        degree = self.degree if degree is None else degree
-        return FiberForm(self.base_dim, self.rank, degree, entries)
-
     def coefficient(self, indices: Sequence[int]) -> Poly:
         """Coefficient on an arbitrary index word, antisymmetrized."""
         idx = tuple(indices)
@@ -157,7 +175,10 @@ class FiberForm(_Linear):
         """Pair a degree-j form with j polynomial sections."""
         if len(sections) != self.degree:
             raise ValueError("wrong number of arguments")
-        supports = [s.components() for s in sections]
+        return self._pair([s.components() for s in sections])
+
+    def _pair(self, supports: Sequence[Mapping[int, Poly]]) -> Poly:
+        """:meth:`evaluate` on the sections' components, one mapping per slot."""
         acc = Poly.zero(self.base_dim)
         for combo in product(*[list(s.items()) for s in supports]):
             coeff = self.coefficient(tuple(i for i, _ in combo))
@@ -191,6 +212,8 @@ class AlgebroidForm(_Linear):
     rank: int
     form_degree: int
     entries: Mapping[tuple[tuple[int, ...], int], Poly] = field(default_factory=dict)
+
+    _DEGREE = "form_degree"
 
     def __post_init__(self) -> None:
         if self.base_dim < 0:
@@ -226,10 +249,6 @@ class AlgebroidForm(_Linear):
     def basis_section(cls, base_dim: int, rank: int, i: int) -> "AlgebroidForm":
         return AlgebroidForm.section(base_dim, rank, {i: Poly.const(base_dim, 1)})
 
-    def _with(self, entries: Mapping, degree: int | None = None) -> "AlgebroidForm":
-        degree = self.form_degree if degree is None else degree
-        return AlgebroidForm(self.base_dim, self.rank, degree, entries)
-
     def poly_scale(self, factor: Poly) -> "AlgebroidForm":
         """Multiply by a base function (the module structure over functions)."""
         if factor.n_vars != self.base_dim:
@@ -250,10 +269,14 @@ class AlgebroidForm(_Linear):
         return _antisymmetrized(self.entries, idx, out, self.base_dim)
 
     def _by_input(self) -> dict[tuple[int, ...], list[tuple[int, Poly]]]:
-        """The entries grouped by input index tuple, as ``(output, coefficient)``."""
-        grouped: dict[tuple[int, ...], list[tuple[int, Poly]]] = {}
-        for (key, out), poly in self.entries.items():
-            grouped.setdefault(key, []).append((out, poly))
+        """The entries grouped by input index tuple, as ``(output, coefficient)``;
+        built on first use and kept with the form."""
+        grouped = self.__dict__.get("_grouped")
+        if grouped is None:
+            grouped = {}
+            for (key, out), poly in self.entries.items():
+                grouped.setdefault(key, []).append((out, poly))
+            self.__dict__["_grouped"] = grouped
         return grouped
 
     def evaluate(self, sections: Sequence["AlgebroidForm"]) -> "AlgebroidForm":
@@ -271,11 +294,13 @@ class AlgebroidForm(_Linear):
             outputs = by_key.get(key)
             if not outputs:
                 continue
-            weight = Poly.const(self.base_dim, sign)
+            weight = None
             for _, comp in combo:
-                weight = weight.mul(comp)
+                weight = comp if weight is None else weight.mul(comp)
+            if sign < 0:
+                weight = weight.neg()
             for out, poly in outputs:
-                term = weight.mul(poly)
+                term = poly if weight is None else weight.mul(poly)
                 slot = ((), out)
                 acc[slot] = acc[slot].add(term) if slot in acc else term
         return self._with(acc, 0)
@@ -824,12 +849,10 @@ def b_from_field(X: GradedField) -> Callable[[Sequence[AlgebroidForm]], Algebroi
     """
     m, n, b = X.base_dim, X.rank, X.degree + 1
     outer = -1 if (b - 1) % 2 else 1
-    eta_images = {
-        q: FiberForm(
-            m, n, b, {J: g for (J, beta), g in X.d_part.items() if beta == q}
-        )
-        for q in range(1, n + 1)
-    }
+    # The images of all dual frame generators at once: the fiber part read
+    # as a section-valued form of degree b.
+    eta = AlgebroidForm(m, n, b, X.d_part)
+    a_blank = FiberForm.zero(m, n, b - 1)
 
     def a_on(h: Poly) -> FiberForm:
         entries: dict[tuple[int, ...], Poly] = {}
@@ -838,7 +861,7 @@ def b_from_field(X: GradedField) -> Callable[[Sequence[AlgebroidForm]], Algebroi
             if term.is_zero():
                 continue
             entries[I] = entries.get(I, Poly.zero(m)).add(term)
-        return FiberForm(m, n, b - 1, entries)
+        return a_blank._with(entries)
 
     def evaluate(sections: Sequence[AlgebroidForm]) -> AlgebroidForm:
         args = tuple(sections)
@@ -847,21 +870,24 @@ def b_from_field(X: GradedField) -> Callable[[Sequence[AlgebroidForm]], Algebroi
         for E in args:
             if E.base_dim != m or E.rank != n or E.form_degree != 0:
                 raise ValueError("expected sections of the field's algebroid")
-        components: dict[int, Poly] = {}
-        for q in range(1, n + 1):
-            total = eta_images[q].evaluate(args)
-            for pos, E in enumerate(args):
-                h = E.components().get(q, Poly.zero(m))
-                if h.is_zero():
+        supports = [E.components() for E in args]
+        components = dict(eta.evaluate(args).entries)
+        for pos, comps in enumerate(supports):
+            # Minus the anchor part on the other slots, with the sign for
+            # moving the derivation past the slots in front of ``pos``.
+            minus = 1 if (b - (pos + 1)) % 2 else -1
+            rest = supports[:pos] + supports[pos + 1 :]
+            for q, h in comps.items():
+                term = a_on(h)._pair(rest)
+                if term.is_zero():
                     continue
-                inner = -1 if (b - (pos + 1)) % 2 else 1
-                rest = args[:pos] + args[pos + 1 :]
-                total = total.sub(a_on(h).evaluate(rest).scale(inner))
-            if outer < 0:
-                total = total.neg()
-            if not total.is_zero():
-                components[q] = total
-        return AlgebroidForm.section(m, n, components)
+                if minus < 0:
+                    term = term.neg()
+                slot = ((), q)
+                components[slot] = components[slot].add(term) if slot in components else term
+        if outer < 0:
+            components = {slot: poly.neg() for slot, poly in components.items()}
+        return eta._with(components, 0)
 
     return evaluate
 
@@ -883,9 +909,19 @@ def phi_on_sections(
     args = tuple(sections)
     if len(args) != b:
         raise ValueError(f"expected {b} sections, got {len(args)}")
-    bee = b_from_field(X)
+    return _phi_on_sections(P, b_from_field(X), args)
+
+
+def _phi_on_sections(
+    P: AlgebroidForm,
+    bee: Callable[[Sequence[AlgebroidForm]], AlgebroidForm],
+    args: tuple[AlgebroidForm, ...],
+) -> AlgebroidForm:
+    """:func:`phi_on_sections` with the field's bracket ``bee`` already
+    extracted and the arguments already checked."""
+    b = len(args)
     p_args = tuple(P.evaluate((E,)) for E in args)
-    total = AlgebroidForm.zero(X.base_dim, X.rank, 0)
+    total = AlgebroidForm.zero(P.base_dim, P.rank, 0)
     for k in range(b + 1):
         outer_sign = -1 if (b - k) % 2 else 1
         for subset in combinations(range(b), k):
@@ -916,14 +952,13 @@ def phi_map(A: PolyAlgebroid, P: AlgebroidForm, X: GradedField) -> AlgebroidForm
     probe = None
     if m >= 1:
         probe = Poly.const(m, 1).add(Poly.variable(m, 1))
+    bee = b_from_field(X)
     entries: dict[tuple[tuple[int, ...], int], Poly] = {}
     for T in combinations(range(1, n + 1), b):
         secs = tuple(basis[t - 1] for t in T)
-        value = phi_on_sections(P, X, secs)
+        value = _phi_on_sections(P, bee, secs)
         if probe is not None:
-            probed = phi_on_sections(
-                P, X, (secs[0].poly_scale(probe),) + secs[1:]
-            )
+            probed = _phi_on_sections(P, bee, (secs[0].poly_scale(probe),) + secs[1:])
             if probed != value.poly_scale(probe):
                 raise RuntimeError("comparison map failed the function-linearity probe")
         for q, poly in value.components().items():

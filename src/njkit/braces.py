@@ -150,10 +150,41 @@ class SuspendedHom:
         object.__setattr__(self, "values", clean)
 
     @classmethod
+    def _trusted(
+        cls,
+        space: GradedSpace,
+        arity: int,
+        total_degree: int,
+        sv_valued: bool,
+        values: Mapping[tuple[BasisElement, ...], GradedVector],
+    ) -> "SuspendedHom":
+        """Keep the nonzero ``values``, cleaned; no key or degree check, no
+        conversion.
+
+        Only for results of internal operations: every key a canonical
+        ``arity``-tuple, every output inside the space and of the degree
+        the map's degree gives, every coefficient a ``Fraction``.
+        """
+        clean = {}
+        for args, gv in values.items():
+            gv = _gv_clean(gv)
+            if gv:
+                clean[args] = gv
+        hom = object.__new__(cls)
+        hom.__dict__.update(
+            space=space,
+            arity=arity,
+            total_degree=total_degree,
+            sv_valued=sv_valued,
+            values=clean,
+        )
+        return hom
+
+    @classmethod
     def zero(
         cls, space: GradedSpace, arity: int, total_degree: int, sv_valued: bool
     ) -> "SuspendedHom":
-        return cls(space, arity, total_degree, sv_valued, {})
+        return cls._trusted(space, arity, total_degree, sv_valued, {})
 
     def is_zero(self) -> bool:
         return not self.values
@@ -210,7 +241,7 @@ class SuspendedHom:
         for key, gv in other.values.items():
             acc = values.setdefault(key, {})
             _gv_add(acc, gv, Fraction(1))
-        return SuspendedHom(
+        return SuspendedHom._trusted(
             self.space, self.arity, self.total_degree, self.sv_valued, values
         )
 
@@ -219,7 +250,7 @@ class SuspendedHom:
 
     def scale(self, c) -> "SuspendedHom":
         c = Fraction(c)
-        return SuspendedHom(
+        return SuspendedHom._trusted(
             self.space,
             self.arity,
             self.total_degree,
@@ -231,14 +262,14 @@ class SuspendedHom:
         """Postcompose with the suspension; only the degree bookkeeping moves."""
         if self.sv_valued:
             raise ValueError("already suspended-valued")
-        return SuspendedHom(
+        return SuspendedHom._trusted(
             self.space, self.arity, self.total_degree + 1, True, self.values
         )
 
     def desuspend_output(self) -> "SuspendedHom":
         if not self.sv_valued:
             raise ValueError("already plain-valued")
-        return SuspendedHom(
+        return SuspendedHom._trusted(
             self.space, self.arity, self.total_degree - 1, False, self.values
         )
 
@@ -437,7 +468,7 @@ def shuffle_brace(sf: SuspendedHom, args: Sequence[SuspendedHom]) -> SuspendedHo
     out_degree = sf.total_degree + sum(g.total_degree for g in gs)
     result_values: dict[tuple[BasisElement, ...], GradedVector] = {}
     if sf.is_zero() or any(g.is_zero() for g in gs):
-        return SuspendedHom(space, out_arity, out_degree, sf.sv_valued, result_values)
+        return SuspendedHom.zero(space, out_arity, out_degree, sf.sv_valued)
     # Every input is read by some g_t or, as a single input, by sf.
     read = {e for key in sf.values for e in key}
     inputs = {e for g in gs for key in g.values for e in key}
@@ -449,7 +480,7 @@ def shuffle_brace(sf: SuspendedHom, args: Sequence[SuspendedHom]) -> SuspendedHo
             _gv_add(acc, sf.evaluate_mixed(slots), Fraction(sign))
         if acc:
             result_values[x] = acc
-    return SuspendedHom(space, out_arity, out_degree, sf.sv_valued, result_values)
+    return SuspendedHom._trusted(space, out_arity, out_degree, sf.sv_valued, result_values)
 
 
 def rn_bracket(a: SuspendedHom, b: SuspendedHom) -> SuspendedHom:
@@ -586,7 +617,7 @@ class NjlLInfty:
         degrees = [g.total_degree for g in gs]
         out_arity = sum(g.arity for g in gs)
         out_degree = sh.total_degree - 1 + sum(d + 1 for d in degrees)
-        acc = SuspendedHom.zero(self.space, out_arity, out_degree, False)
+        values: dict[tuple[BasisElement, ...], GradedVector] = {}
         # Permutations that put the same objects in the same places give the
         # same nested brace: add up their signs and build each one once.
         signs: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -611,8 +642,11 @@ class NjlLInfty:
             inner = shuffle_brace(sh, sgs[cut:])
             for j in range(cut - 1, -1, -1):
                 inner = shuffle_brace(sgs[j], [inner])
-            acc = acc.add(inner.desuspend_output().scale(sign))
-        return CNjLElement(njo=[acc])
+            for args, gv in inner.values.items():
+                _gv_add(values.setdefault(args, {}), gv, Fraction(sign))
+        return CNjLElement(
+            njo=[SuspendedHom._trusted(self.space, out_arity, out_degree, False, values)]
+        )
 
     def l(self, elements: Sequence[CNjLElement]) -> CNjLElement:
         """Multilinear extension over the components of each element.

@@ -25,6 +25,7 @@ structures, 2 when a validity check fails, 3 on parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -810,7 +811,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``njk`` parser, built on first use and shared by later calls;
+    ``parse_args`` keeps no state between calls."""
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--seed", type=int, default=None)

@@ -68,6 +68,29 @@ class Cochain:
         object.__setattr__(self, "values", clean)
 
     @classmethod
+    def _trusted(
+        cls,
+        degree: int,
+        source_dim: int,
+        target_dim: int,
+        values: Mapping[tuple[int, ...], Sequence],
+    ) -> "Cochain":
+        """Keep the nonzero ``values`` as tuples; no key check, no conversion.
+
+        Only for results of internal operations: every key a strictly
+        increasing ``degree``-tuple below ``source_dim``, every value
+        ``target_dim`` ``Fraction`` entries.
+        """
+        cochain = object.__new__(cls)
+        cochain.__dict__.update(
+            degree=degree,
+            source_dim=source_dim,
+            target_dim=target_dim,
+            values={key: tuple(vec) for key, vec in values.items() if any(vec)},
+        )
+        return cochain
+
+    @classmethod
     def zero(cls, degree: int, source_dim: int, target_dim: int) -> "Cochain":
         return cls(degree, source_dim, target_dim, {})
 
@@ -104,14 +127,14 @@ class Cochain:
         self._check_compatible(other)
         values = dict(self.values)
         for key, vec in other.values.items():
-            values[key] = vec_add(values.get(key, zero_vector(self.target_dim)), vec)
-        return Cochain(self.degree, self.source_dim, self.target_dim, values)
+            values[key] = vec_add(values[key], vec) if key in values else vec
+        return Cochain._trusted(self.degree, self.source_dim, self.target_dim, values)
 
     def sub(self, other: "Cochain") -> "Cochain":
         return self.add(other.scale(-1))
 
     def scale(self, c) -> "Cochain":
-        return Cochain(
+        return Cochain._trusted(
             self.degree,
             self.source_dim,
             self.target_dim,
@@ -122,7 +145,7 @@ class Cochain:
         """Postcompose with an endomorphism of the target module."""
         if op.dim != self.target_dim:
             raise ValueError("operator dimension mismatch")
-        return Cochain(
+        return Cochain._trusted(
             self.degree,
             self.source_dim,
             self.target_dim,
@@ -232,7 +255,7 @@ def delta_lie(rep: Representation, f: Cochain) -> Cochain:
                 key = tuple(sorted(rest + (a, b)))
                 sign = (-1) ** (key.index(a) + key.index(b) + pos_k)
                 _accumulate(out, key, sign, [(t, ck * c) for t, c in support], rep.dim)
-    return Cochain(f.degree + 1, alg.dim, rep.dim, out)
+    return Cochain._trusted(f.degree + 1, alg.dim, rep.dim, out)
 
 
 def _pullback_wedge(p: Endomorphism, idx: tuple[int, ...]) -> dict[tuple[int, ...], list]:
@@ -303,7 +326,7 @@ class _Operators:
                 for k, c in enumerate(poly):
                     if c:
                         _accumulate(out, key, c, images[k], f.target_dim)
-        return Cochain(n, f.source_dim, f.target_dim, out)
+        return Cochain._trusted(n, f.source_dim, f.target_dim, out)
 
     def delta_njl(self, pair: PairCochain) -> PairCochain:
         njo_out = self.psi(pair.lie_part).scale(-1)
@@ -386,13 +409,13 @@ def _pair_keys(degree: int, source_dim: int, target_dim: int) -> list[tuple]:
 def _basis_cochain(degree: int, sdim: int, tdim: int, key: tuple) -> Cochain:
     idx, t = key
     value = tuple(Fraction(1) if s == t else Fraction(0) for s in range(tdim))
-    return Cochain(degree, sdim, tdim, {idx: value})
+    return Cochain._trusted(degree, sdim, tdim, {idx: value})
 
 
 def _basis_pair(degree: int, sdim: int, tdim: int, key: tuple) -> PairCochain:
     tag, idx, t = key
-    lie = Cochain.zero(degree, sdim, tdim)
-    njo = None if degree == 0 else Cochain.zero(degree - 1, sdim, tdim)
+    lie = Cochain._trusted(degree, sdim, tdim, {})
+    njo = None if degree == 0 else Cochain._trusted(degree - 1, sdim, tdim, {})
     if tag == "lie":
         lie = _basis_cochain(degree, sdim, tdim, (idx, t))
     else:

@@ -7,11 +7,10 @@ section-valued forms of :mod:`njkit.algebroid` with base dimension and rank
 both ``n``, and the Lie bracket of vector fields, the Frolicher-Nijenhuis
 bracket and the torsion of a (1,1)-form are the algebroid operations on
 ``trivial_algebroid(n)``. What is specific to R^n lives here: the exterior
-derivative, the insertion operators, the Richardson-Nijenhuis bracket, the
-Lie derivative, and an explicit contracting homotopy that verifies the
-vanishing of the twisted cohomology of the diagonal operator
-``diag(x1, ..., xn)`` degree slice by degree slice. All operations are
-exact.
+derivative, the insertion operator, the Lie derivative, and an explicit
+contracting homotopy that verifies the vanishing of the twisted cohomology
+of the diagonal operator ``diag(x1, ..., xn)`` degree slice by degree
+slice. All operations are exact.
 """
 
 from __future__ import annotations
@@ -56,9 +55,6 @@ class ScalarForm(FiberForm):
     def zero(cls, n_vars: int, degree: int) -> "ScalarForm":
         return ScalarForm(n_vars, degree)
 
-    def _with(self, entries: Mapping, degree: int | None = None) -> "ScalarForm":
-        return ScalarForm(self.n_vars, self.degree if degree is None else degree, entries)
-
 
 class VectorValuedForm(AlgebroidForm):
     """A vector-field-valued form, stored on ``(index tuple, output index)``.
@@ -94,10 +90,6 @@ class VectorValuedForm(AlgebroidForm):
     def basis_field(cls, n_vars: int, a: int) -> "VectorValuedForm":
         """The coordinate vector field along ``x_a``."""
         return VectorValuedForm.vector_field(n_vars, {a: Poly.const(n_vars, 1)})
-
-    def _with(self, entries: Mapping, degree: int | None = None) -> "VectorValuedForm":
-        degree = self.form_degree if degree is None else degree
-        return VectorValuedForm(self.n_vars, degree, entries)
 
 
 def _check_same_base(a, b) -> None:
@@ -158,49 +150,6 @@ def interior_product(K: VectorValuedForm, beta: ScalarForm) -> ScalarForm:
         if not acc.is_zero():
             out[T] = acc
     return ScalarForm(n, deg, out)
-
-
-def _rn_insertion(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
-    """Plug ``K`` into the first slot of ``L`` and shuffle the rest."""
-    k, l = K.form_degree, L.form_degree
-    n = K.n_vars
-    if l == 0:
-        return VectorValuedForm.zero(n, max(k - 1, 0))
-    deg = k + l - 1
-    shuffles = enumerate_shuffles((k, l - 1))
-    grouped_K = K._by_input()
-    out: dict[tuple[tuple[int, ...], int], Poly] = {}
-    for T in combinations(range(1, n + 1), deg):
-        acc: dict[int, Poly] = {}
-        for sigma in shuffles:
-            word = sigma.gather(T)
-            head, tail = word[:k], word[k:]
-            for j, p in grouped_K.get(head, ()):
-                for b in range(1, n + 1):
-                    q = L.coefficient((j,) + tail, b)
-                    if q.is_zero():
-                        continue
-                    term = p.mul(q)
-                    if sigma.sign() < 0:
-                        term = term.neg()
-                    acc[b] = acc.get(b, Poly.zero(n)).add(term)
-        for b, poly in acc.items():
-            if not poly.is_zero():
-                out[(T, b)] = poly
-    return VectorValuedForm(n, deg, out)
-
-
-def rn_bracket_forms(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
-    """Richardson-Nijenhuis bracket of vector-valued forms.
-
-    Characterized by ``i_[K,L] = [i_K, i_L]`` as operators on scalar forms;
-    computed here by the two-sum insertion formula. Two vector fields
-    bracket to zero (there is no slot to insert into).
-    """
-    _check_same_base(K, L)
-    k, l = K.form_degree, L.form_degree
-    sign = -1 if ((k - 1) * (l - 1)) % 2 else 1
-    return _rn_insertion(K, L).sub(_rn_insertion(L, K).scale(sign))
 
 
 def lie_derivative(K: VectorValuedForm, beta: ScalarForm) -> ScalarForm:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add as _add_exps
 from typing import Iterator, Mapping
 
 from .exact import Rational, format_rational, parse_rational
@@ -46,12 +47,24 @@ class Poly:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
+    def _trusted(cls, n_vars: int, terms: dict[tuple[int, ...], Fraction]) -> "Poly":
+        """Wrap ``terms`` as they are: no key check, no conversion.
+
+        Only for results of internal operations: every key a tuple of
+        ``n_vars`` exponents, every value a nonzero ``Fraction``.
+        """
+        poly = object.__new__(cls)
+        poly.__dict__.update(n_vars=n_vars, terms=terms)
+        return poly
+
+    @classmethod
     def zero(cls, n_vars: int) -> "Poly":
-        return cls(n_vars, {})
+        return cls._trusted(n_vars, {})
 
     @classmethod
     def const(cls, n_vars: int, value: Rational | int) -> "Poly":
-        return cls(n_vars, {(0,) * n_vars: Fraction(value)})
+        c = Fraction(value)
+        return cls._trusted(n_vars, {(0,) * n_vars: c} if c else {})
 
     @classmethod
     def variable(cls, n_vars: int, i: int) -> "Poly":
@@ -60,7 +73,7 @@ class Poly:
             raise ValueError(f"variable index {i} out of range 1..{n_vars}")
         exps = [0] * n_vars
         exps[i - 1] = 1
-        return cls(n_vars, {tuple(exps): Fraction(1)})
+        return cls._trusted(n_vars, {tuple(exps): Fraction(1)})
 
     @classmethod
     def parse(cls, text: str, n_vars: int) -> "Poly":
@@ -128,43 +141,66 @@ class Poly:
 
     def add(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         merged = dict(self.terms)
         for key, c in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + c
-        return Poly(self.n_vars, merged)
+            if key in merged:
+                total = merged[key] + c
+                if total:
+                    merged[key] = total
+                else:
+                    del merged[key]
+            else:
+                merged[key] = c
+        return Poly._trusted(self.n_vars, merged)
 
     def sub(self, other: "Poly") -> "Poly":
         return self.add(other.neg())
 
     def neg(self) -> "Poly":
-        return Poly(self.n_vars, {key: -c for key, c in self.terms.items()})
+        return Poly._trusted(self.n_vars, {key: -c for key, c in self.terms.items()})
 
     def scale(self, factor: Rational | int) -> "Poly":
         f = Fraction(factor)
         if not f:
             return Poly.zero(self.n_vars)
-        return Poly(self.n_vars, {key: c * f for key, c in self.terms.items()})
+        return Poly._trusted(self.n_vars, {key: c * f for key, c in self.terms.items()})
 
     def mul(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
+        # Most products in the form calculus have a frame-section factor 1.
+        if other._is_one():
+            return self
+        if self._is_one():
+            return other
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return Poly(self.n_vars, out)
+                key = tuple(map(_add_exps, e1, e2))
+                if key in out:
+                    out[key] += c1 * c2
+                else:
+                    out[key] = c1 * c2
+        return Poly._trusted(self.n_vars, {key: c for key, c in out.items() if c})
 
     def partial(self, i: int) -> "Poly":
         """Partial derivative with respect to ``x_i`` (1-based)."""
         if not 1 <= i <= self.n_vars:
             raise ValueError(f"variable index {i} out of range 1..{self.n_vars}")
+        # Lowering the i-th exponent is injective on the terms it keeps, so
+        # no two terms meet and no coefficient cancels.
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
             e = exps[i - 1]
             if e:
-                key = exps[: i - 1] + (e - 1,) + exps[i:]
-                out[key] = out.get(key, Fraction(0)) + c * e
-        return Poly(self.n_vars, out)
+                out[exps[: i - 1] + (e - 1,) + exps[i:]] = c * e
+        return Poly._trusted(self.n_vars, out)
+
+    def _is_one(self) -> bool:
+        return len(self.terms) == 1 and self.terms.get((0,) * self.n_vars) == 1
 
     def degree_support(self) -> set[int]:
         """Total degrees of the monomials actually present."""

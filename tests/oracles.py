@@ -9,9 +9,11 @@ the tests compare the two entry for entry.
 
 Geometric side: the Frolicher-Nijenhuis bracket from the wedge /
 Lie-derivative definition (against the five-sum on frames in
-``njkit.algebroid``), and the graded commutator of shifted-bundle fields
+``njkit.algebroid``), the graded commutator of shifted-bundle fields
 rebuilt from its action on generators (against the closed-form shuffle
-expansion).
+expansion), and the Richardson-Nijenhuis bracket of vector-valued forms
+from insertions (against the brace bracket of ``njkit.braces`` on constant
+forms).
 
 Brace side: the multi-argument shuffle brace summed straight from its
 definition, over ordered disjoint input subsets with a Koszul sign found by
@@ -236,6 +238,32 @@ def fn_bracket_decomposable(K: VectorValuedForm, L: VectorValuedForm) -> VectorV
             for key, poly in toward_X.entries.items():
                 result = result.add(VectorValuedForm(n, k + l, {(key, a): poly}))
     return result
+
+
+def _rn_insertion(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
+    """Plug ``K`` into the first slot of ``L`` and shuffle the rest: the
+    insertion of ``K`` into each output component of ``L``."""
+    n = L.n_vars
+    entries = {}
+    for b in range(1, n + 1):
+        component = ScalarForm(
+            n, L.form_degree, {I: p for (I, a), p in L.entries.items() if a == b}
+        )
+        for T, poly in interior_product(K, component).entries.items():
+            entries[(T, b)] = poly
+    return VectorValuedForm(n, max(K.form_degree + L.form_degree - 1, 0), entries)
+
+
+def rn_bracket_forms(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
+    """Richardson-Nijenhuis bracket of vector-valued forms.
+
+    Characterized by ``i_[K,L] = [i_K, i_L]`` as operators on scalar forms;
+    computed here by the two-sum insertion formula. Two vector fields
+    bracket to zero (there is no slot to insert into).
+    """
+    k, l = K.form_degree, L.form_degree
+    sign = -1 if ((k - 1) * (l - 1)) % 2 else 1
+    return _rn_insertion(K, L).sub(_rn_insertion(L, K).scale(sign))
 
 
 def commutator_from_action(X: GradedField, Y: GradedField) -> GradedField:

@@ -9,13 +9,18 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import njkit
 from njkit.cli import (
     InputError,
     RunConfig,
+    build_parser,
     config_from_args,
     main,
     parse_algebroid_file,
@@ -356,6 +361,39 @@ def test_output_bytes_deterministic(capsys):
     main(["cohomology", "--complex", "njl", _fix("dim2-diag.json")])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_shared_parser_answers_like_a_fresh_process(capsys, monkeypatch):
+    """One process, several subcommands and a malformed call in between:
+    each call gives the exit code and stdout of its own ``njk`` process."""
+    monkeypatch.delenv("NJK_SEED", raising=False)
+    env = {k: v for k, v in os.environ.items() if k != "NJK_SEED"}
+    env["PYTHONPATH"] = str(Path(njkit.__file__).resolve().parents[1])
+    calls = [
+        ["check", "lie", _fix("sl2.json")],
+        ["cohomology", "--complex", "njl", "--max-degree", "2", _fix("dim2-diag.json")],
+        ["check", "lie", _fix("sl2.json"), "--max-degree"],
+        ["torsion", _fix("tangent2.json"), "--format", "text"],
+        ["check", "bogus", _fix("sl2.json")],
+        ["poincare", "--n", "2", "--seed", "5"],
+        ["check", "lie", _fix("sl2.json")],
+    ]
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "njkit.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (code, captured.out) == (fresh.returncode, fresh.stdout), argv
+        if code == 3:
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith("error: ")
+    assert build_parser() is build_parser()
 
 
 def test_round_trip_of_all_shipped_fixtures():

@@ -242,6 +242,40 @@ def test_kernel_basis_spans_right_kernel():
             assert km.rank() == len(kernel)
 
 
+def _random_sparse_rows(rng: random.Random, nr: int, nc: int) -> list[list[int]]:
+    """Sparse integer rows with some all-zero rows and columns and entries
+    up to 2**40 in absolute value."""
+    zero_rows = {r for r in range(nr) if rng.random() < 0.2}
+    zero_cols = {c for c in range(nc) if rng.random() < 0.2}
+    bits = rng.choice((2, 8, 40))
+    return [
+        [
+            rng.randint(-(2**bits), 2**bits)
+            if r not in zero_rows and c not in zero_cols and rng.random() < 0.35
+            else 0
+            for c in range(nc)
+        ]
+        for r in range(nr)
+    ]
+
+
+def test_rank_and_kernel_match_sympy_on_random_sparse_matrices():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+    shapes = [(0, 3), (3, 0), (1, 1), (4, 9), (9, 4), (7, 7), (12, 5), (5, 12)]
+    shapes += [(rng.randint(1, 10), rng.randint(1, 10)) for _ in range(32)]
+    for nr, nc in shapes:
+        rows = _random_sparse_rows(rng, nr, nc)
+        m = SparseMatrix(nr, nc, {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)})
+        expected = sympy.Matrix(nr, nc, [sympy.Rational(v) for row in rows for v in row]).rank()
+        assert m.rank() == expected, (nr, nc, rows)
+        kernel = m.kernel_basis()
+        assert len(kernel) == nc - expected
+        for vec in kernel:
+            assert len(vec) == nc
+            assert all(x == 0 for x in m.apply(vec))
+
+
 def test_matmul_and_apply_agree():
     a = SparseMatrix.from_rows([[1, 2], [0, 1], [3, 0]])
     b = SparseMatrix.from_rows([[1, 1], [2, -1]])

@@ -34,9 +34,8 @@ from njkit.forms import (
     lie_derivative,
     nijenhuis_torsion_form,
     poincare_h,
-    rn_bracket_forms,
 )
-from oracles import fn_bracket_decomposable
+from oracles import fn_bracket_decomposable, rn_bracket_forms
 
 
 def _rpoly(rng: random.Random, n: int, max_deg: int = 2, nterms: int = 2) -> Poly:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import sys
+from pathlib import Path
+
 import njkit
 
 
@@ -12,3 +16,23 @@ def test_every_exported_name_resolves_and_appears_once():
     assert not missing
     assert "fn_bracket_decomposable" not in names
     assert "commutator_from_action" not in names
+    assert "rn_bracket_forms" not in names
+
+
+def test_runtime_imports_are_stdlib_or_njkit():
+    """``dependencies = []`` in pyproject.toml: the package imports nothing
+    outside the standard library and itself, at any depth of any module."""
+    outside = []
+    for path in sorted(Path(njkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "njkit" and top not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}:{node.lineno}: {name}")
+    assert not outside

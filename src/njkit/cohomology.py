@@ -92,7 +92,7 @@ class Cochain:
 
     @classmethod
     def zero(cls, degree: int, source_dim: int, target_dim: int) -> "Cochain":
-        return cls(degree, source_dim, target_dim, {})
+        return cls._trusted(degree, source_dim, target_dim, {})
 
     @classmethod
     def from_constant(cls, source_dim: int, value: Sequence) -> "Cochain":
@@ -414,8 +414,8 @@ def _basis_cochain(degree: int, sdim: int, tdim: int, key: tuple) -> Cochain:
 
 def _basis_pair(degree: int, sdim: int, tdim: int, key: tuple) -> PairCochain:
     tag, idx, t = key
-    lie = Cochain._trusted(degree, sdim, tdim, {})
-    njo = None if degree == 0 else Cochain._trusted(degree - 1, sdim, tdim, {})
+    lie = Cochain.zero(degree, sdim, tdim)
+    njo = None if degree == 0 else Cochain.zero(degree - 1, sdim, tdim)
     if tag == "lie":
         lie = _basis_cochain(degree, sdim, tdim, (idx, t))
     else:

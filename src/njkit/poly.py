@@ -147,15 +147,8 @@ class Poly:
             return other
         merged = dict(self.terms)
         for key, c in other.terms.items():
-            if key in merged:
-                total = merged[key] + c
-                if total:
-                    merged[key] = total
-                else:
-                    del merged[key]
-            else:
-                merged[key] = c
-        return Poly._trusted(self.n_vars, merged)
+            merged[key] = merged[key] + c if key in merged else c
+        return Poly._trusted(self.n_vars, {key: c for key, c in merged.items() if c})
 
     def sub(self, other: "Poly") -> "Poly":
         return self.add(other.neg())
@@ -180,10 +173,7 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(map(_add_exps, e1, e2))
-                if key in out:
-                    out[key] += c1 * c2
-                else:
-                    out[key] = c1 * c2
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
         return Poly._trusted(self.n_vars, {key: c for key, c in out.items() if c})
 
     def partial(self, i: int) -> "Poly":

@@ -19,6 +19,10 @@ Conventions (fixed once, everything else derives from them)
   position on its own) are laid out by their minima, and the term carries
   the Koszul sign of that layout and ``(-1)^(|g_t| d)`` for each ``g_t``,
   with ``d`` the degree of the inputs laid out before its block.
+* The brace is computed from nonzero entries only. A term is nonzero only
+  when each block is a key of its ``g_t`` and the single inputs and one
+  component of each value make up a key of ``f``. So only the input words
+  merged from such keys are visited; every other word sums to zero.
 """
 
 from __future__ import annotations
@@ -86,6 +90,25 @@ def _gv_clean(gv: GradedVector) -> GradedVector:
     return {k: v for k, v in sorted(gv.items()) if v}
 
 
+def _add_mixed(acc: GradedVector, f: "SuspendedHom", slots: Sequence, coeff: int) -> None:
+    """Add ``coeff`` times ``f`` on ``slots`` (basis elements and graded
+    vectors, one per argument) into ``acc``, looking each argument word up
+    before multiplying coefficients."""
+    expanded = [((s, 1),) if isinstance(s, tuple) else tuple(s.items()) for s in slots]
+    for combo in product(*expanded):
+        canon = f._canonicalize(tuple(el for el, _ in combo))
+        if canon is None:
+            continue
+        key, sign = canon
+        base = f.values.get(key)
+        if not base:
+            continue
+        c = coeff * sign
+        for _, v in combo:
+            c *= v
+        _gv_add(acc, base, c)
+
+
 def canonical_tuples(space: GradedSpace, length: int) -> Iterator[tuple[BasisElement, ...]]:
     """Weakly increasing basis tuples with no repeated odd-degree element."""
     return _canonical_words(space.basis(), length)
@@ -95,13 +118,17 @@ def _canonical_words(
     elements: Sequence[BasisElement], length: int
 ) -> Iterator[tuple[BasisElement, ...]]:
     for tup in combinations_with_replacement(elements, length):
-        ok = True
-        for t in range(length - 1):
-            if tup[t] == tup[t + 1] and tup[t][0] % 2:
-                ok = False
-                break
-        if ok:
+        if not _repeats_odd(tup):
             yield tup
+
+
+def _repeats_odd(word: Sequence[BasisElement]) -> bool:
+    """Whether a sorted word repeats an odd-degree element; graded symmetric
+    maps vanish on it."""
+    for t in range(len(word) - 1):
+        if word[t] == word[t + 1] and word[t][0] % 2:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -200,9 +227,8 @@ class SuspendedHom:
                     if (seq[t][0] * seq[t + 1][0]) % 2:
                         sign = -sign
                     seq[t], seq[t + 1] = seq[t + 1], seq[t]
-        for t in range(len(seq) - 1):
-            if seq[t] == seq[t + 1] and seq[t][0] % 2:
-                return None
+        if _repeats_odd(seq):
+            return None
         return tuple(seq), sign
 
     def evaluate(self, args: Sequence[BasisElement]) -> GradedVector:
@@ -220,19 +246,10 @@ class SuspendedHom:
 
     def evaluate_mixed(self, slots: Sequence) -> GradedVector:
         """Evaluate on a mix of basis elements and graded vectors."""
-        expanded = [((s, 1),) if isinstance(s, tuple) else tuple(s.items()) for s in slots]
+        if len(slots) != self.arity:
+            raise ValueError("wrong number of arguments")
         out: GradedVector = {}
-        for combo in product(*expanded):
-            canon = self._canonicalize(tuple(el for el, _ in combo))
-            if canon is None:
-                continue
-            key, coeff = canon
-            base = self.values.get(key)
-            if not base:
-                continue
-            for _, c in combo:
-                coeff *= c
-            _gv_add(out, base, coeff)
+        _add_mixed(out, self, slots, 1)
         return _gv_clean(out)
 
     def add(self, other: "SuspendedHom") -> "SuspendedHom":
@@ -379,6 +396,9 @@ def _insertions(
     a single input outside ``read`` or an inserted value with no component
     in ``read``: the outer map vanishes on them.
 
+    :func:`shuffle_brace` calls it only on the words that
+    :func:`_reachable_words` builds.
+
     Positions are laid out from the left: each free position either stays
     a single input or opens the next block, which takes the rest of its
     positions from the free ones to its right.
@@ -449,6 +469,12 @@ def shuffle_brace(sf: SuspendedHom, args: Sequence[SuspendedHom]) -> SuspendedHo
     ``g_t``, with ``d`` the degree of the inputs laid out before its block.
     These are the terms of the local shuffles of the block sizes.
 
+    Only the words :func:`_reachable_words` builds from nonzero entries are
+    visited, in lexicographic order. The skip is exact: on any other word,
+    every routing either inserts a zero value or hands ``sf`` arguments on
+    which it vanishes. Each routing's values go straight into the word's
+    accumulator, with its sign folded into the coefficient.
+
     Arguments must be suspended-valued; the result keeps ``sf``'s output
     flavor. ``sf{}`` is ``sf`` itself; more arguments than ``sf`` has inputs
     is an arity overflow.
@@ -469,18 +495,42 @@ def shuffle_brace(sf: SuspendedHom, args: Sequence[SuspendedHom]) -> SuspendedHo
     result_values: dict[tuple[BasisElement, ...], GradedVector] = {}
     if sf.is_zero() or any(g.is_zero() for g in gs):
         return SuspendedHom.zero(space, out_arity, out_degree, sf.sv_valued)
-    # Every input is read by some g_t or, as a single input, by sf.
     read = {e for key in sf.values for e in key}
-    inputs = {e for g in gs for key in g.values for e in key}
-    if m > n:
-        inputs |= read
-    for x in _canonical_words(sorted(inputs), out_arity):
+    for x in _reachable_words(sf, gs, read):
         acc: GradedVector = {}
         for slots, sign in _insertions(x, gs, m - n, read):
-            _gv_add(acc, sf.evaluate_mixed(slots), Fraction(sign))
+            _add_mixed(acc, sf, slots, sign)
         if acc:
             result_values[x] = acc
     return SuspendedHom._trusted(space, out_arity, out_degree, sf.sv_valued, result_values)
+
+
+def _reachable_words(
+    sf: SuspendedHom, gs: Sequence[SuspendedHom], read: set[BasisElement]
+) -> list[tuple[BasisElement, ...]]:
+    """Every canonical input word of ``sf{gs}`` with a nonzero value, and
+    few others, in lexicographic order.
+
+    A routing contributes only when each block is a key of its ``g_t``
+    whose value has a component in ``read``, and the ``m - n`` single
+    inputs together with one component of each value make up a key of
+    ``sf``. Such a word is therefore the sorted merge of one such key of
+    each ``g_t`` with a sub-multiset of a key of ``sf``. Partial merges are
+    kept as a set, and a repeated odd element drops a merge at once, since
+    it stays repeated in every longer one.
+    """
+    singles = sf.arity - len(gs)
+    words = {sub for key in sf.values for sub in combinations(key, singles)}
+    for g in gs:
+        keys = [key for key, gv in g.values.items() if not read.isdisjoint(gv)]
+        merged = set()
+        for word in words:
+            for key in keys:
+                x = tuple(sorted(word + key))
+                if not _repeats_odd(x):
+                    merged.add(x)
+        words = merged
+    return sorted(words)
 
 
 def rn_bracket(a: SuspendedHom, b: SuspendedHom) -> SuspendedHom:
@@ -749,7 +799,20 @@ def mc_residual(cand: MaurerCartanCandidate, n_max: int) -> MCReport:
     components can reach (bracket family up to ``2*n_max - 1``, operator
     family up to ``n_max**2``). Residual sizes count nonzero canonical
     values; the candidate is flat iff all residuals are zero.
+
+    Dropping a nonzero component would leave equations that the candidate
+    enters unevaluated, so a flat verdict would mean nothing: ``n_max``
+    below the largest arity of a nonzero component raises ``ValueError``.
     """
+    needed = max(
+        (a for family in (cand.b, cand.r) for a, h in family.items() if not h.is_zero()),
+        default=1,
+    )
+    if n_max < needed:
+        raise ValueError(
+            f"n_max {n_max} drops a nonzero arity-{needed} component; "
+            f"the lowest value that keeps the candidate whole is {needed}"
+        )
     b = {a: h for a, h in cand.b.items() if a <= n_max}
     r = {a: h for a, h in cand.r.items() if a <= n_max}
     bracket_res: dict[int, int] = {}

@@ -114,6 +114,9 @@ class RunConfig:
         for name in ("max_degree", "max_poly_degree", "n", "n_max"):
             if getattr(self, name) < 1:
                 raise InputError(f"--{name.replace('_', '-')} must be positive")
+        if self.command == "mc" and self.n_max < 2:
+            # The bracket has arity 2: below that no equation is evaluated.
+            raise InputError("--n-max must be at least 2 for mc (the bracket has arity 2)")
 
 
 # ---------------------------------------------------------------------------

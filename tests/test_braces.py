@@ -143,6 +143,18 @@ def test_evaluation_is_koszul_symmetric():
                     assert got == want
 
 
+def test_evaluate_mixed_checks_the_number_of_slots():
+    rng = random.Random(6)
+    h = _random_hom(rng, MIXED, 2, -1, True)
+    a, b = (1, 0), (1, 1)
+    assert h.evaluate_mixed([a, b]) == h.evaluate((a, b))
+    for slots in ([a], [a, b, a], [{a: Fraction(1)}], []):
+        with pytest.raises(ValueError, match="wrong number of arguments"):
+            h.evaluate_mixed(slots)
+        with pytest.raises(ValueError, match="wrong number of arguments"):
+            h.evaluate([s if isinstance(s, tuple) else a for s in slots])
+
+
 def test_suspension_identifications_round_trip():
     rng = random.Random(7)
     for degree in (1, 2, 3):
@@ -606,6 +618,18 @@ def test_mc_residual_fixture_examples():
     assert not bad_p.ok and bad_p.operator_residuals[2] > 0
     bad_mu = mc_residual(mc_candidate(broken3(), Endomorphism.diagonal([1, 1, 1])), 2)
     assert not bad_mu.ok and bad_mu.bracket_residuals[3] > 0
+
+
+def test_mc_residual_rejects_a_truncation_that_drops_a_component():
+    # At n_max 1 the arity-2 bracket would be dropped and no equation
+    # evaluated: the broken bracket must not come out flat.
+    cand = mc_candidate(broken3(), Endomorphism.diagonal([1, 1, 1]))
+    with pytest.raises(ValueError, match="lowest value .* is 2"):
+        mc_residual(cand, 1)
+    assert not mc_residual(cand, 2).ok
+    # Only nonzero components count: an abelian bracket is zero.
+    abelian = mc_candidate(LieAlgebra(2, {}), Endomorphism.diagonal([1, 2]))
+    assert mc_residual(abelian, 1).ok
 
 
 def test_mc_residual_iff_validators():

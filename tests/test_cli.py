@@ -130,6 +130,18 @@ def test_mc_residual_exit_codes(capsys):
     assert report["mc"]["operator_residuals"]["2"] == 0
 
 
+def test_mc_rejects_n_max_below_the_bracket_arity(capsys):
+    # Truncating at arity 1 would drop the bracket and evaluate nothing.
+    assert main(["mc", "--n-max", "1", _fix("bad-jacobi.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert "\n" not in err and "at least 2" in err
+
+    code, report = _run(capsys, "mc", "--n-max", "2", _fix("bad-jacobi.json"))
+    assert code == 2 and report["ok"] is False
+
+
 def test_fn_bracket_result(capsys):
     code, report = _run(capsys, "fn-bracket", _fix("forms-pair.json"))
     assert code == 0

@@ -34,8 +34,8 @@ from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from .exact import (
+    LinearComplex,
     Permutation,
-    SparseMatrix,
     chi_sign,
     enumerate_shuffles,
 )
@@ -961,6 +961,43 @@ def _slice_keys(space: GradedSpace, arity: int) -> list[tuple]:
     return keys
 
 
+def _twisted_complex(algebra: LieAlgebra, p: Endomorphism) -> LinearComplex:
+    """The complex of the twisted unary operation, basis keys
+    ``("lie", args, b)`` and ``("njo", args, b)`` (see ``njl_twisted_betti``)."""
+    space = GradedSpace.suspended_ungraded(algebra.dim)
+    structure = NjlLInfty(space)
+    cand = mc_candidate(algebra, p)
+    alpha = CNjLElement(lie=[cand.b[2]], njo=[cand.r[1]])
+
+    def keys(n: int) -> list[tuple]:
+        out = []
+        if n >= 1:
+            out += [("lie",) + k for k in _slice_keys(space, n)]
+        if n >= 2:
+            out += [("njo",) + k for k in _slice_keys(space, n - 1)]
+        return out
+
+    def column(n: int, key: tuple) -> dict[tuple, Fraction]:
+        tag, tup, el = key
+        value = {tup: {el: Fraction(1)}}
+        if tag == "lie":
+            e = CNjLElement(lie=[SuspendedHom(space, n, 1 - n, True, value)])
+        else:
+            e = CNjLElement(njo=[SuspendedHom(space, n - 1, 1 - n, False, value)])
+        lie, njo = structure.twisted_l1(alpha, e).collect()
+        out: dict[tuple, Fraction] = {}
+        for part_tag, arity, part in (("lie", n + 1, lie), ("njo", n, njo)):
+            for a, h in part.items():
+                if a != arity:
+                    raise ValueError("component outside the slice")
+                for args, gv in h.values.items():
+                    for b, v in gv.items():
+                        out[(part_tag, args, b)] = v
+        return out
+
+    return LinearComplex(keys, column)
+
+
 def njl_twisted_betti(
     algebra: LieAlgebra, p: Endomorphism, max_degree: int
 ) -> list[int]:
@@ -972,68 +1009,7 @@ def njl_twisted_betti(
     from degree 2 on, with nothing in degree 0. The complement inside the
     operator-pair mapping cone is the two-term piece (constants, identity,
     constants), which is acyclic, so the Betti numbers agree with the cone's
-    in every degree. Exact ranks throughout.
+    in every degree. Exact ranks throughout. Raises ``ValueError`` if the
+    twisted differential of a candidate operator does not square to zero.
     """
-    space = GradedSpace.suspended_ungraded(algebra.dim)
-    structure = NjlLInfty(space)
-    cand = mc_candidate(algebra, p)
-    alpha = CNjLElement(lie=[cand.b[2]], njo=[cand.r[1]])
-
-    def slice_basis(n: int) -> list[CNjLElement]:
-        out = []
-        if n >= 1:
-            for tup in canonical_tuples(space, n):
-                for el in space.basis():
-                    h = SuspendedHom(space, n, 1 - n, True, {tup: {el: Fraction(1)}})
-                    out.append(CNjLElement(lie=[h]))
-        if n >= 2:
-            for tup in canonical_tuples(space, n - 1):
-                for el in space.basis():
-                    h = SuspendedHom(
-                        space, n - 1, 1 - n, False, {tup: {el: Fraction(1)}}
-                    )
-                    out.append(CNjLElement(njo=[h]))
-        return out
-
-    def slice_keys(n: int) -> list[tuple]:
-        keys = []
-        if n >= 1:
-            keys += [("lie",) + k for k in _slice_keys(space, n)]
-        if n >= 2:
-            keys += [("njo",) + k for k in _slice_keys(space, n - 1)]
-        return keys
-
-    def coords(e: CNjLElement, n: int, pos: dict[tuple, int]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        lie, njo = e.collect()
-        for arity, h in lie.items():
-            if arity != n:
-                raise ValueError("component outside the slice")
-            for args, gv in h.values.items():
-                for el, v in gv.items():
-                    out[pos[("lie", args, el)]] = v
-        for arity, h in njo.items():
-            if arity != n - 1:
-                raise ValueError("component outside the slice")
-            for args, gv in h.values.items():
-                for el, v in gv.items():
-                    out[pos[("njo", args, el)]] = v
-        return out
-
-    dims = []
-    ranks = []
-    for n in range(max_degree + 1):
-        basis = slice_basis(n)
-        dims.append(len(basis))
-        target = {key: row for row, key in enumerate(slice_keys(n + 1))}
-        m = SparseMatrix(len(target), len(basis))
-        for col, e in enumerate(basis):
-            image = structure.twisted_l1(alpha, e)
-            for row, v in coords(image, n + 1, target).items():
-                m.set(row, col, v)
-        ranks.append(m.rank())
-    out = []
-    for n in range(max_degree + 1):
-        below = ranks[n - 1] if n >= 1 else 0
-        out.append(dims[n] - ranks[n] - below)
-    return out
+    return _twisted_complex(algebra, p).betti(max_degree)

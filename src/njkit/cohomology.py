@@ -8,9 +8,12 @@ stored on strictly increasing basis tuples; degree-0 cochains are single
 module vectors (stored under the empty tuple).
 
 Every differential is assembled from nonzero entries only (cochain values,
-structure constants, action and operator entries). A complex builds the
-operators its differentials share, the deformed module and the powers of
-``-P_M``, once, on first use, and drops them with itself.
+structure constants, action and operator entries). The matrices, ranks,
+Betti numbers and cocycles come from ``exact.LinearComplex``: ``ce`` and
+``njo`` are assembled column by column, and ``njl`` is the mapping cone of
+``psi``, copied from their blocks and one ``psi`` matrix per degree. The
+three share one ``_Operators``, so the deformed module and the powers of
+``-P_M`` are built once, on first use, and dropped with the complexes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .exact import SparseMatrix
+from .exact import LinearComplex, MappingCone
 from .lie import (
     Endomorphism,
     NijenhuisLieAlgebra,
@@ -283,10 +286,11 @@ def _pullback_wedge(p: Endomorphism, idx: tuple[int, ...]) -> dict[tuple[int, ..
 
 
 class _Operators:
-    """What the operator and cone differentials need besides the cochain:
+    """What the operator differential and ``psi`` need besides the cochain:
     the module, ``P``, ``P_M``, the deformed module and the powers of
     ``-P_M``. The last two are built on first use and kept only as long as
-    this object, which a complex owns for its own lifetime."""
+    this object, which the columns of the three complexes of one pair share
+    for their lifetime."""
 
     def __init__(self, nja: NijenhuisLieAlgebra, nrep: NijenhuisRepresentation) -> None:
         self.rep = nrep.representation
@@ -376,6 +380,14 @@ class BettiReport:
     ranks: list[int]
     betti: list[int]
 
+    @classmethod
+    def of(cls, name: str, cx: LinearComplex, max_degree: int) -> "BettiReport":
+        """Dimensions, ranks and Betti numbers of ``cx`` in degrees ``0..max_degree``."""
+        numbers = cx.betti(max_degree)
+        degrees = range(max_degree + 1)
+        dims, ranks = [cx.dim(n) for n in degrees], [cx.rank(n) for n in degrees]
+        return cls(name, max_degree, dims, ranks, numbers)
+
     def to_dict(self) -> dict:
         return {
             "complex": self.complex,
@@ -389,115 +401,37 @@ class BettiReport:
 _COMPLEXES = ("ce", "njo", "njl")
 
 
-def _lie_keys(degree: int, source_dim: int, target_dim: int) -> list[tuple]:
-    return [
-        (idx, t)
-        for idx in combinations(range(source_dim), degree)
-        for t in range(target_dim)
-    ]
+def _coords(f: Cochain) -> dict[tuple, Fraction]:
+    """``f`` on the basis keys ``(idx, t)`` of ``_complexes``."""
+    return {(idx, t): c for idx, vec in f.values.items() for t, c in enumerate(vec) if c}
 
 
-def _pair_keys(degree: int, source_dim: int, target_dim: int) -> list[tuple]:
-    keys = [("lie", idx, t) for idx, t in _lie_keys(degree, source_dim, target_dim)]
-    if degree >= 1:
-        keys += [
-            ("njo", idx, t) for idx, t in _lie_keys(degree - 1, source_dim, target_dim)
-        ]
-    return keys
+def _complexes(nja: NijenhuisLieAlgebra, nrep: NijenhuisRepresentation) -> dict[str, LinearComplex]:
+    """The three complexes of the pair, sharing one ``_Operators``.
 
-
-def _basis_cochain(degree: int, sdim: int, tdim: int, key: tuple) -> Cochain:
-    idx, t = key
-    value = tuple(Fraction(1) if s == t else Fraction(0) for s in range(tdim))
-    return Cochain._trusted(degree, sdim, tdim, {idx: value})
-
-
-def _basis_pair(degree: int, sdim: int, tdim: int, key: tuple) -> PairCochain:
-    tag, idx, t = key
-    lie = Cochain.zero(degree, sdim, tdim)
-    njo = None if degree == 0 else Cochain.zero(degree - 1, sdim, tdim)
-    if tag == "lie":
-        lie = _basis_cochain(degree, sdim, tdim, (idx, t))
-    else:
-        njo = _basis_cochain(degree - 1, sdim, tdim, (idx, t))
-    return PairCochain(degree, lie, njo)
-
-
-def _cochain_coords(
-    f: Cochain, pos: dict[tuple, int], tag: tuple = ()
-) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for idx, vec in f.values.items():
-        for t, c in enumerate(vec):
-            if c:
-                out[pos[tag + (idx, t)]] = c
-    return out
-
-
-def _pair_coords(pair: PairCochain, pos: dict[tuple, int]) -> dict[int, Fraction]:
-    out = _cochain_coords(pair.lie_part, pos, ("lie",))
-    if pair.njo_part is not None:
-        out.update(_cochain_coords(pair.njo_part, pos, ("njo",)))
-    return out
-
-
-class _Complex:
-    """Uniform matrix view of one of the three complexes.
-
-    The operators its differentials need (the deformed module, the powers
-    of ``-P_M``) are built once, on first use, and live as long as it does.
+    A basis key of ``ce`` and ``njo`` in degree ``n`` is ``(idx, t)``: the
+    cochain with value ``e_t`` on ``e_idx``. ``njl`` is the mapping cone of
+    ``psi: ce -> njo``, keyed ``("lie", idx, t)`` then ``("njo", idx, t)``.
+    Its matrices are copied from those of ``ce`` and ``njo`` and from one
+    ``psi`` matrix per degree. Nothing is built before it is used, and the
+    columns close over local values only, so no reference cycle keeps the
+    matrices alive.
     """
+    ops = _Operators(nja, nrep)
+    rep, sdim, tdim = ops.rep, nja.algebra.dim, ops.rep.dim
 
-    def __init__(
-        self, nja: NijenhuisLieAlgebra, nrep: NijenhuisRepresentation, which: str
-    ) -> None:
-        if which not in _COMPLEXES:
-            raise ValueError(f"unknown complex {which!r}; pick one of {_COMPLEXES}")
-        self.which = which
-        self.sdim = nja.algebra.dim
-        self.tdim = nrep.representation.dim
-        self.ops = _Operators(nja, nrep)
-        self._keys: dict[int, list[tuple]] = {}
-        self._positions: dict[int, dict[tuple, int]] = {}
-        self._matrices: dict[int, SparseMatrix] = {}
+    def keys(n: int) -> list[tuple]:
+        return [(idx, t) for idx in combinations(range(sdim), n) for t in range(tdim)]
 
-    def keys(self, degree: int) -> list[tuple]:
-        if degree not in self._keys:
-            if self.which == "njl":
-                self._keys[degree] = _pair_keys(degree, self.sdim, self.tdim)
-            else:
-                self._keys[degree] = _lie_keys(degree, self.sdim, self.tdim)
-        return self._keys[degree]
+    def basis(n: int, key: tuple) -> Cochain:
+        idx, t = key
+        value = tuple(Fraction(1) if s == t else _ZERO for s in range(tdim))
+        return Cochain._trusted(n, sdim, tdim, {idx: value})
 
-    def positions(self, degree: int) -> dict[tuple, int]:
-        """Row index of every key of degree ``degree``."""
-        if degree not in self._positions:
-            self._positions[degree] = {key: r for r, key in enumerate(self.keys(degree))}
-        return self._positions[degree]
-
-    def dim(self, degree: int) -> int:
-        return len(self.keys(degree))
-
-    def _column(self, degree: int, key: tuple) -> dict[int, Fraction]:
-        pos = self.positions(degree + 1)
-        if self.which == "njl":
-            image = self.ops.delta_njl(_basis_pair(degree, self.sdim, self.tdim, key))
-            return _pair_coords(image, pos)
-        f = _basis_cochain(degree, self.sdim, self.tdim, key)
-        if self.which == "ce":
-            return _cochain_coords(delta_lie(self.ops.rep, f), pos)
-        return _cochain_coords(self.ops.delta_njo(f), pos)
-
-    def differential_matrix(self, degree: int) -> SparseMatrix:
-        """Matrix of the differential from degree ``degree`` to ``degree + 1``."""
-        if degree in self._matrices:
-            return self._matrices[degree]
-        m = SparseMatrix(self.dim(degree + 1), self.dim(degree))
-        for col, key in enumerate(self.keys(degree)):
-            for row, value in self._column(degree, key).items():
-                m.set(row, col, value)
-        self._matrices[degree] = m
-        return m
+    ce = LinearComplex(keys, lambda n, key: _coords(delta_lie(rep, basis(n, key))))
+    njo = LinearComplex(keys, lambda n, key: _coords(ops.delta_njo(basis(n, key))))
+    njl = MappingCone(ce, njo, lambda n, key: _coords(ops.psi(basis(n, key))), ("lie", "njo"))
+    return {"ce": ce, "njo": njo, "njl": njl}
 
 
 def betti(
@@ -510,16 +444,12 @@ def betti(
 
     ``b_n = dim C^n - rank d_n - rank d_{n-1}``; every rank is computed by
     fraction-free elimination, so the result is exact. Degrees beyond the
-    top of the complex simply come out zero.
+    top of the complex simply come out zero. Raises ``ValueError`` if the
+    candidate operators do not make the differential square to zero.
     """
-    cx = _Complex(nja, nrep, which)
-    dims = [cx.dim(n) for n in range(max_degree + 1)]
-    ranks = [cx.differential_matrix(n).rank() for n in range(max_degree + 1)]
-    numbers = []
-    for n in range(max_degree + 1):
-        below = ranks[n - 1] if n >= 1 else 0
-        numbers.append(dims[n] - ranks[n] - below)
-    return BettiReport(which, max_degree, dims, ranks, numbers)
+    if which not in _COMPLEXES:
+        raise ValueError(f"unknown complex {which!r}; pick one of {_COMPLEXES}")
+    return BettiReport.of(which, _complexes(nja, nrep)[which], max_degree)
 
 
 @dataclass
@@ -534,25 +464,6 @@ class LESReport:
         return {"max_degree": self.max_degree, "ok": self.ok, "nodes": self.nodes}
 
 
-def _columns_matrix(nrows: int, cols: list[dict[int, Fraction]]) -> SparseMatrix:
-    m = SparseMatrix(nrows, len(cols))
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            m.set(i, j, v)
-    return m
-
-
-def _matrix_columns(m: SparseMatrix) -> list[dict[int, Fraction]]:
-    cols: list[dict[int, Fraction]] = [dict() for _ in range(m.ncols)]
-    for (r, c), v in m.entries.items():
-        cols[c][r] = v
-    return cols
-
-
-def _rank_with(base: list[dict[int, Fraction]], extra: list[dict[int, Fraction]], nrows: int) -> int:
-    return _columns_matrix(nrows, base + extra).rank()
-
-
 def les_verify(
     nja: NijenhuisLieAlgebra, nrep: NijenhuisRepresentation, max_degree: int
 ) -> LESReport:
@@ -564,109 +475,40 @@ def les_verify(
     to sign, which does not affect exactness). All checks are exact rank
     computations on cocycle representatives.
     """
-    ce = _Complex(nja, nrep, "ce")
-    njo = _Complex(nja, nrep, "njo")
-    njl = _Complex(nja, nrep, "njl")
-    sdim, tdim = ce.sdim, ce.tdim
+    cx = _complexes(nja, nrep)
+    ce, njo, njl = cx["ce"], cx["njo"], cx["njl"]
 
-    def cocycles(cx: _Complex, degree: int) -> list[dict[int, Fraction]]:
-        m = cx.differential_matrix(degree)
-        out = []
-        for vec in m.kernel_basis():
-            out.append({i: c for i, c in enumerate(vec) if c})
-        return out
+    # The cone's basis in degree p is that of ce^p followed by that of
+    # njo^(p-1): the projection keeps the first block and the inclusion
+    # shifts into the second.
+    def proj(p: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        return {i: v for i, v in vec.items() if i < ce.dim(p)}
 
-    def boundaries(cx: _Complex, degree: int) -> list[dict[int, Fraction]]:
-        if degree == 0:
-            return []
-        return _matrix_columns(cx.differential_matrix(degree - 1))
+    def incl(p: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        return {ce.dim(p + 1) + i: v for i, v in vec.items()}
 
-    # Rank of the boundary space of each (complex, degree), ranked once.
-    boundary_ranks: dict[tuple[str, int], int] = {}
-
-    def boundary_rank(cx: _Complex, degree: int) -> int:
-        key = (cx.which, degree)
-        if key not in boundary_ranks:
-            boundary_ranks[key] = cx.differential_matrix(degree - 1).rank() if degree else 0
-        return boundary_ranks[key]
-
-    def proj_map(degree: int, col: dict[int, Fraction]) -> dict[int, Fraction]:
-        pair_keys = njl.keys(degree)
-        pos = ce.positions(degree)
-        out: dict[int, Fraction] = {}
-        for i, v in col.items():
-            tag, idx, t = pair_keys[i]
-            if tag == "lie":
-                out[pos[(idx, t)]] = v
-        return out
-
-    def incl_map(degree: int, col: dict[int, Fraction]) -> dict[int, Fraction]:
-        # njo^p -> cone^(p+1)
-        njo_keys = njo.keys(degree)
-        pos = njl.positions(degree + 1)
-        return {pos[("njo",) + njo_keys[i]]: v for i, v in col.items()}
-
-    def psi_map(degree: int, col: dict[int, Fraction]) -> dict[int, Fraction]:
-        lie_keys = ce.keys(degree)
-        values: dict[tuple[int, ...], list] = {}
-        for i, v in col.items():
-            idx, t = lie_keys[i]
-            values.setdefault(idx, [_ZERO] * tdim)[t] = v
-        f = Cochain(degree, sdim, tdim, values)
-        return _cochain_coords(njo.ops.psi(f), njo.positions(degree))
+    def psi_map(p: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        image = njl.chain_matrix(p).apply([vec.get(i, _ZERO) for i in range(ce.dim(p))])
+        return {r: v for r, v in enumerate(image) if v}
 
     nodes = []
     ok = True
+    z_njo_prev: list[dict[int, Fraction]] = []
     for p in range(max_degree + 1):
-        z_njl = cocycles(njl, p)
-        z_lie = cocycles(ce, p)
-        z_njo = cocycles(njo, p)
-        z_njo_prev = cocycles(njo, p - 1) if p >= 1 else []
+        z_njl, z_lie, z_njo = njl.cocycles(p), ce.cocycles(p), njo.cocycles(p)
 
         # (name, here-complex, here-degree, here-cocycles, incoming images,
         #  outgoing map, next-complex, next-degree)
         checks = [
-            (
-                f"cone^{p}",
-                njl,
-                p,
-                z_njl,
-                [incl_map(p - 1, c) for c in z_njo_prev],
-                lambda col, p=p: proj_map(p, col),
-                ce,
-                p,
-            ),
-            (
-                f"lie^{p}",
-                ce,
-                p,
-                z_lie,
-                [proj_map(p, c) for c in z_njl],
-                lambda col, p=p: psi_map(p, col),
-                njo,
-                p,
-            ),
-            (
-                f"njo^{p}",
-                njo,
-                p,
-                z_njo,
-                [psi_map(p, c) for c in z_lie],
-                lambda col, p=p: incl_map(p, col),
-                njl,
-                p + 1,
-            ),
+            (f"cone^{p}", njl, p, z_njl, [incl(p - 1, z) for z in z_njo_prev], proj, ce, p),
+            (f"lie^{p}", ce, p, z_lie, [proj(p, z) for z in z_njl], psi_map, njo, p),
+            (f"njo^{p}", njo, p, z_njo, [psi_map(p, z) for z in z_lie], incl, njl, p + 1),
         ]
-        for name, here, hp, here_z, in_cols, out_fn, nxt, np_ in checks:
-            here_dim, here_b = here.dim(hp), boundaries(here, hp)
-            next_dim, next_b = nxt.dim(np_), boundaries(nxt, np_)
-            here_rank, next_rank = boundary_rank(here, hp), boundary_rank(nxt, np_)
-            dim_h = len(here_z) - here_rank
-            rank_in = _rank_with(here_b, in_cols, here_dim) - here_rank
-            out_cols = [out_fn(z) for z in here_z]
-            rank_out = _rank_with(next_b, out_cols, next_dim) - next_rank
-            comp_cols = [out_fn(c) for c in in_cols]
-            comp_zero = _rank_with(next_b, comp_cols, next_dim) == next_rank
+        for name, here, hp, here_z, in_cols, out_map, nxt, np_ in checks:
+            dim_h = len(here_z) - here.rank(hp - 1)
+            rank_in = here.class_rank(hp, in_cols)
+            rank_out = nxt.class_rank(np_, [out_map(p, z) for z in here_z])
+            comp_zero = nxt.class_rank(np_, [out_map(p, c) for c in in_cols]) == 0
             exact = comp_zero and (rank_in + rank_out == dim_h)
             ok = ok and exact
             nodes.append(
@@ -679,4 +521,5 @@ def les_verify(
                     "exact": exact,
                 }
             )
+        z_njo_prev = z_njo
     return LESReport(max_degree, nodes, ok)

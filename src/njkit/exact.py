@@ -2,6 +2,11 @@
 
 All computation in this package happens over the rationals. ``Rational`` is
 the stdlib :class:`fractions.Fraction`; nothing here ever touches floats.
+
+``LinearComplex`` is the one graded-complex engine: every differential
+matrix, rank, Betti number, cocycle and boundary of the package's cochain
+complexes comes from it, and ``MappingCone`` builds a cone from the blocks
+of its two complexes and a chain map.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 Rational = Fraction
 
@@ -335,3 +340,156 @@ def _axpy(target: dict[int, Fraction], source: dict[int, Fraction], factor: Frac
             target[k] = new
         else:
             target.pop(k, None)
+
+
+_Column = Mapping[Hashable, Rational]
+
+
+def _assemble_columns(
+    rows: Mapping[Hashable, int], keys: Sequence, column: Callable[[Hashable], _Column]
+) -> SparseMatrix:
+    """The matrix whose ``j``-th column is ``column(keys[j])``, each entry
+    placed in the row ``rows`` gives its key."""
+    m = SparseMatrix(len(rows), len(keys))
+    for c, key in enumerate(keys):
+        for k, v in column(key).items():
+            m.set(rows[k], c, v)
+    return m
+
+
+class LinearComplex:
+    """A cochain complex of finite-dimensional spaces over the rationals.
+
+    ``keys(n)`` lists the basis of degree ``n`` and ``column(n, key)`` gives
+    the differential of one basis element as ``{key of degree n + 1: value}``.
+    Nothing lives below degree 0. Bases, matrices and ranks are built on
+    first use and kept as long as the complex.
+
+    Give closures over plain values, not bound methods of an object that
+    holds the complex: the reference cycle would keep every cached matrix
+    alive until the cyclic garbage collector runs.
+    """
+
+    def __init__(
+        self,
+        keys: Callable[[int], Sequence],
+        column: Callable[[int, Hashable], _Column] | None,
+    ) -> None:
+        self._key_fn = keys
+        self._column = column
+        self._keys: dict[int, list] = {}
+        self._positions: dict[int, dict] = {}
+        self._matrices: dict[int, SparseMatrix] = {}
+        self._ranks: dict[int, int] = {}
+
+    def keys(self, n: int) -> list:
+        if n not in self._keys:
+            self._keys[n] = list(self._key_fn(n)) if n >= 0 else []
+        return self._keys[n]
+
+    def positions(self, n: int) -> dict:
+        """Index of every basis key of degree ``n``."""
+        if n not in self._positions:
+            self._positions[n] = {key: i for i, key in enumerate(self.keys(n))}
+        return self._positions[n]
+
+    def dim(self, n: int) -> int:
+        return len(self.keys(n))
+
+    def matrix(self, n: int) -> SparseMatrix:
+        """Matrix of ``d_n: C^n -> C^(n+1)`` in the key order of both degrees."""
+        if n not in self._matrices:
+            self._matrices[n] = self._assemble(n)
+        return self._matrices[n]
+
+    def _assemble(self, n: int) -> SparseMatrix:
+        column = self._column
+        return _assemble_columns(self.positions(n + 1), self.keys(n), lambda key: column(n, key))
+
+    def rank(self, n: int) -> int:
+        """Exact rank of ``d_n``; 0 below degree 0."""
+        if n < 0:
+            return 0
+        if n not in self._ranks:
+            self._ranks[n] = self.matrix(n).rank()
+        return self._ranks[n]
+
+    def betti(self, max_degree: int) -> list[int]:
+        """``b_n = dim C^n - rank d_n - rank d_(n-1)`` for ``n = 0..max_degree``.
+
+        First checks ``d_n d_(n-1) = 0`` on the matrices the numbers use, and
+        raises ``ValueError`` naming ``n`` where it fails: the differential
+        of a candidate structure need not square to zero.
+        """
+        for n in range(1, max_degree + 1):
+            if not self.matrix(n).matmul(self.matrix(n - 1)).is_zero():
+                raise ValueError(f"not a complex: d_{n} d_{n - 1} != 0")
+        return [self.dim(n) - self.rank(n) - self.rank(n - 1) for n in range(max_degree + 1)]
+
+    def cocycles(self, n: int) -> list[dict[int, Fraction]]:
+        """A basis of ``Z^n = ker d_n``, as sparse vectors ``{index: value}``."""
+        return [{i: c for i, c in enumerate(vec) if c} for vec in self.matrix(n).kernel_basis()]
+
+    def boundaries(self, n: int) -> list[dict[int, Fraction]]:
+        """The columns of ``d_(n-1)``, which span ``B^n``, as sparse vectors."""
+        m = self.matrix(n - 1)
+        cols: list[dict[int, Fraction]] = [{} for _ in range(m.ncols)]
+        for (r, c), v in m.entries.items():
+            cols[c][r] = v
+        return cols
+
+    def class_rank(self, n: int, vectors: Sequence[Mapping[int, Rational]]) -> int:
+        """Dimension of the span of ``vectors`` (of degree ``n``) modulo ``B^n``."""
+        cols = self.boundaries(n) + list(vectors)
+        entries = {(i, j): v for j, col in enumerate(cols) for i, v in col.items()}
+        return SparseMatrix(self.dim(n), len(cols), entries).rank() - self.rank(n - 1)
+
+
+class MappingCone(LinearComplex):
+    """The mapping cone of a chain map ``f: A -> B``.
+
+    Degree ``n`` is ``A^n + B^(n-1)`` and the differential is
+    ``(a, b) -> (d_A a, -f a - d_B b)``, the block matrix
+    ``[[d_A, 0], [-f, -d_B]]`` copied from the matrices of ``A`` and ``B``.
+    ``chain_map(n, key)`` gives ``f`` on a basis element of ``A^n`` as
+    ``{key of B^n: value}``. The basis of degree ``n`` is that of ``A^n``,
+    each key prefixed with ``tags[0]``, followed by that of ``B^(n-1)``
+    prefixed with ``tags[1]``: index ``i < A.dim(n)`` is ``A``'s ``i``-th
+    basis element and index ``A.dim(n) + i`` is ``B``'s.
+    """
+
+    def __init__(
+        self,
+        source: LinearComplex,
+        target: LinearComplex,
+        chain_map: Callable[[int, Hashable], _Column],
+        tags: tuple[str, str],
+    ) -> None:
+        a, b = tags
+        super().__init__(
+            lambda n: [(a,) + k for k in source.keys(n)] + [(b,) + k for k in target.keys(n - 1)],
+            None,
+        )
+        self.source = source
+        self.target = target
+        self._chain_map = chain_map
+        self._maps: dict[int, SparseMatrix] = {}
+
+    def chain_matrix(self, n: int) -> SparseMatrix:
+        """Matrix of ``f_n: A^n -> B^n``."""
+        if n not in self._maps:
+            chain_map = self._chain_map
+            self._maps[n] = _assemble_columns(
+                self.target.positions(n), self.source.keys(n), lambda key: chain_map(n, key)
+            )
+        return self._maps[n]
+
+    def _assemble(self, n: int) -> SparseMatrix:
+        shift_row, shift_col = self.source.dim(n + 1), self.source.dim(n)
+        m = SparseMatrix(self.dim(n + 1), self.dim(n))
+        m.entries.update(self.source.matrix(n).entries)
+        for (r, c), v in self.chain_matrix(n).entries.items():
+            m.entries[(shift_row + r, c)] = -v
+        for (r, c), v in self.target.matrix(n - 1).entries.items():
+            m.entries[(shift_row + r, shift_col + c)] = -v
+        return m

@@ -28,7 +28,7 @@ from .algebroid import (
     trivial_algebroid,
 )
 from .cohomology import BettiReport
-from .exact import SparseMatrix, enumerate_shuffles
+from .exact import LinearComplex, enumerate_shuffles
 from .lie import ValidationReport
 from .poly import Poly, _merge_indices, _monomials
 
@@ -302,6 +302,38 @@ def check_homotopy(
     return ValidationReport("poincare-homotopy", not failures, checked, failures)
 
 
+def _fn_slice(
+    differential: Callable[[VectorValuedForm], VectorValuedForm], n: int, d: int
+) -> LinearComplex:
+    """The polynomial-degree-``d`` slice: basis keys ``(exponents, I, a)``
+    for ``x^exponents dx^I (x) d/dx_a``, raising on a term outside it."""
+    monos = list(_monomials(n, d))
+
+    def keys(j: int) -> list[tuple]:
+        return [
+            (exps, I, a)
+            for I in combinations(range(1, n + 1), j)
+            for a in range(1, n + 1)
+            for exps in monos
+        ]
+
+    def column(j: int, key: tuple) -> dict[tuple, Fraction]:
+        exps, I, a = key
+        image = differential(VectorValuedForm(n, j, {(I, a): Poly(n, {exps: Fraction(1)})}))
+        out = {}
+        for (J, b), poly in image.entries.items():
+            for e, coeff in poly.terms.items():
+                if sum(e) != d:
+                    raise ValueError(
+                        "slicing violation: the differential left the "
+                        f"polynomial-degree-{d} slice"
+                    )
+                out[(e, J, b)] = coeff
+        return out
+
+    return LinearComplex(keys, column)
+
+
 def fn_betti(n: int, max_poly_degree: int, max_form_degree: int) -> dict[int, BettiReport]:
     """Cohomology dimensions of the diagonal operator's twisted complex,
     one report per total polynomial degree.
@@ -314,40 +346,7 @@ def fn_betti(n: int, max_poly_degree: int, max_form_degree: int) -> dict[int, Be
     signal an implementation bug and raises.
     """
     differential = _diagonal_differential(n)
-    reports: dict[int, BettiReport] = {}
-    for d in range(max_poly_degree + 1):
-        monos = list(_monomials(n, d))
-
-        def slice_basis(j: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-            return [
-                (exps, I, a)
-                for I in combinations(range(1, n + 1), j)
-                for a in range(1, n + 1)
-                for exps in monos
-            ]
-
-        dims: list[int] = []
-        ranks: list[int] = []
-        for j in range(max_form_degree + 1):
-            cols = slice_basis(j)
-            rows = {key: r for r, key in enumerate(slice_basis(j + 1))}
-            matrix = SparseMatrix(len(rows), len(cols))
-            for c, (exps, I, a) in enumerate(cols):
-                K = VectorValuedForm(n, j, {(I, a): Poly(n, {exps: Fraction(1)})})
-                image = differential(K)
-                for (J, b), poly in image.entries.items():
-                    for e, coeff in poly.terms.items():
-                        if sum(e) != d:
-                            raise ValueError(
-                                "slicing violation: the differential left the "
-                                f"polynomial-degree-{d} slice"
-                            )
-                        matrix.set(rows[(e, J, b)], c, coeff)
-            dims.append(len(cols))
-            ranks.append(matrix.rank())
-        betti = [
-            dims[j] - ranks[j] - (ranks[j - 1] if j >= 1 else 0)
-            for j in range(max_form_degree + 1)
-        ]
-        reports[d] = BettiReport(f"fn-poly-degree-{d}", max_form_degree, dims, ranks, betti)
-    return reports
+    return {
+        d: BettiReport.of(f"fn-poly-degree-{d}", _fn_slice(differential, n, d), max_form_degree)
+        for d in range(max_poly_degree + 1)
+    }

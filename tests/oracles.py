@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 
 from njkit.algebroid import FiberForm, GradedField, field_apply
 from njkit.braces import SuspendedHom, canonical_tuples
-from njkit.cohomology import Cochain, PairCochain, _Complex
+from njkit.cohomology import Cochain, PairCochain, _complexes
 from njkit.exact import Permutation, SparseMatrix, enumerate_shuffles
 from njkit.forms import (
     ScalarForm,
@@ -174,7 +174,7 @@ def oracle_matrix(
     """The differential of ``which`` from ``degree`` to ``degree + 1``,
     assembled column by column from the dense routes above, in the basis
     order of ``njkit.cohomology``."""
-    keys = _Complex(nja, nrep, which).keys
+    keys = _complexes(nja, nrep)[which].keys
     dom, cod = keys(degree), keys(degree + 1)
     pos = {key: r for r, key in enumerate(cod)}
     rep, p_m = nrep.representation, nrep.operator

@@ -497,6 +497,12 @@ def test_twisted_betti_pinned_value_for_sl2():
     assert njl_twisted_betti(sl2(), Endomorphism.diagonal([2, 5, 2]), 3) == [0, 1, 4, 4]
 
 
+def test_twisted_betti_refuses_a_candidate_operator_with_torsion():
+    # diag(1, 0, 0) on sl2 has torsion T(e, f) = h, and d_2 d_1 != 0.
+    with pytest.raises(ValueError, match="d_2 d_1"):
+        njl_twisted_betti(sl2(), Endomorphism.diagonal([1, 0, 0]), 3)
+
+
 def test_twisted_betti_of_sl2_semidirect_matches_cone_to_degree_3():
     # Dimension 6 takes the brace to output arity 5 with many nonzero terms;
     # the local-shuffle route that gathered inputs through the inverse

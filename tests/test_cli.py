@@ -118,6 +118,23 @@ def test_cohomology_requires_operator_for_twisted_complexes(capsys):
     assert "nijenhuis" in err
 
 
+@pytest.mark.parametrize("complex_name", ["njo", "njl"])
+def test_cohomology_of_an_operator_with_torsion_is_invalid(capsys, tmp_path, complex_name):
+    # The library refuses Betti numbers here (d^2 != 0); the CLI validates
+    # first and reports the operator as invalid.
+    doc = json.loads((FIXTURES / "sl2-diag.json").read_text())
+    doc["nijenhuis"] = [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+    path = tmp_path / "sl2-twisted.json"
+    path.write_text(json.dumps(doc))
+    code = main(["cohomology", "--complex", complex_name, "--max-degree", "3", str(path)])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2
+    assert report["verdict"] == "invalid"
+    assert "betti" not in report
+    assert captured.err == ""
+
+
 def test_mc_residual_exit_codes(capsys):
     code, report = _run(capsys, "mc", "--n-max", "2", _fix("sl2-diag.json"))
     assert code == 0

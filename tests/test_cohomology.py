@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -13,7 +14,7 @@ import njkit.cohomology
 from njkit.cohomology import (
     Cochain,
     PairCochain,
-    _Complex,
+    _complexes,
     betti,
     delta_lie,
     delta_njl,
@@ -426,10 +427,10 @@ _MATRIX_FIXTURES = _matrix_fixtures()
 )
 def test_differential_matrices_match_dense_oracle(name, nja, nrep):
     for which in ("ce", "njo", "njl"):
-        cx = _Complex(nja, nrep, which)
+        cx = _complexes(nja, nrep)[which]
         for degree in range(4):
             expected = oracle_matrix(nja, nrep, which, degree)
-            got = cx.differential_matrix(degree)
+            got = cx.matrix(degree)
             assert (got.nrows, got.ncols) == (expected.nrows, expected.ncols)
             assert got.entries == expected.entries, (name, which, degree)
 
@@ -479,9 +480,39 @@ def test_deformed_module_is_built_once_per_complex(monkeypatch):
     calls.clear()
     betti(nja, nrep, "ce", 2)
     assert calls == []
-    # les_verify builds the three complexes; ce needs no deformed module.
+    # les_verify's three complexes share one deformed module.
     assert les_verify(nja, nrep, 2).ok
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_betti_refuses_a_candidate_operator_that_is_not_a_complex():
+    # Torsion T(e, f) = h: d_1 d_0 != 0 on njo and d_2 d_1 != 0 on njl,
+    # where Betti numbers would otherwise come out as [0, 1, 2, 1].
+    nja = NijenhuisLieAlgebra(sl2(), Endomorphism.diagonal([1, 0, 0]))
+    nrep = adjoint_nijenhuis(nja)
+    assert betti(nja, nrep, "ce", 3).betti == [0, 0, 0, 0]
+    with pytest.raises(ValueError, match="d_1 d_0"):
+        betti(nja, nrep, "njo", 3)
+    with pytest.raises(ValueError, match="d_2 d_1"):
+        betti(nja, nrep, "njl", 3)
+
+
+@pytest.mark.parametrize("which", ["ce", "njo", "njl", "les"])
+def test_complexes_leave_no_cyclic_garbage(which):
+    # A reference cycle through the complexes would keep every cached
+    # matrix alive until the cyclic collector runs, raising peak memory.
+    nja = sl2_semidirect()
+    nrep = adjoint_nijenhuis(nja)
+    gc.collect()
+    gc.disable()
+    try:
+        if which == "les":
+            assert les_verify(nja, nrep, 2).ok
+        else:
+            betti(nja, nrep, which, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cone_betti_of_sl2_semidirect_to_degree_3():

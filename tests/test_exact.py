@@ -5,11 +5,15 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
+from njkit.braces import _twisted_complex
+from njkit.cohomology import _complexes
 from njkit.exact import (
+    LinearComplex,
+    MappingCone,
     Permutation,
     SparseMatrix,
     chi_sign,
@@ -17,6 +21,15 @@ from njkit.exact import (
     format_rational,
     koszul_sign,
     parse_rational,
+)
+from njkit.forms import _diagonal_differential, _fn_slice
+from njkit.lie import (
+    Endomorphism,
+    LieAlgebra,
+    NijenhuisLieAlgebra,
+    adjoint_nijenhuis,
+    semidirect_nijenhuis,
+    vector,
 )
 
 from oracles import enumerate_local_shuffles
@@ -284,3 +297,135 @@ def test_matmul_and_apply_agree():
         applied = a.apply(vec)
         for row in range(3):
             assert ab.get(row, col) == applied[row]
+
+
+# ---------------------------------------------------------------------------
+# The graded-complex engine
+
+
+def _simplex_complex() -> LinearComplex:
+    """Simplicial cochains of the full 2-simplex: keys are the vertex
+    tuples of each face, and ``d`` is the alternating coboundary."""
+    vertices = range(3)
+
+    def column(n, key):
+        out = {}
+        for v in vertices:
+            if v not in key:
+                face = tuple(sorted(key + (v,)))
+                out[face] = Fraction((-1) ** face.index(v))
+        return out
+
+    return LinearComplex(lambda n: list(combinations(vertices, n + 1)), column)
+
+
+def test_linear_complex_betti_cocycles_and_boundaries():
+    cx = _simplex_complex()
+    assert [cx.dim(n) for n in range(-1, 4)] == [0, 3, 3, 1, 0]
+    assert [cx.rank(n) for n in range(-2, 3)] == [0, 0, 2, 1, 0]
+    assert cx.betti(3) == [1, 0, 0, 0]
+    # The constant cochain spans Z^0; Z^1 = B^1 has dimension 2.
+    assert cx.cocycles(0) == [{0: 1, 1: 1, 2: 1}]
+    assert len(cx.cocycles(1)) == 2
+    assert cx.boundaries(0) == []
+    assert cx.boundaries(1) == [
+        {0: -1, 1: -1},
+        {0: 1, 2: -1},
+        {1: 1, 2: 1},
+    ]
+    # Boundaries have no class; a vertex that is not a coboundary has one.
+    assert cx.class_rank(1, cx.boundaries(1)) == 0
+    assert cx.class_rank(0, [{0: 1}, {1: 2}]) == 2
+    assert cx.class_rank(2, [{0: 1}]) == 0
+
+
+def test_linear_complex_refuses_a_differential_that_does_not_square_to_zero():
+    # d_0(a) = b, d_1(b) = c: d_1 d_0 != 0.
+    chain = {0: [("a",)], 1: [("b",)], 2: [("c",)]}
+    image = {("a",): {("b",): 1}, ("b",): {("c",): 1}, ("c",): {}}
+    cx = LinearComplex(lambda n: chain.get(n, []), lambda n, key: image[key])
+    with pytest.raises(ValueError, match="d_1 d_0"):
+        cx.betti(2)
+    assert cx.betti(0) == [0]
+
+
+def test_mapping_cone_blocks_and_signs():
+    # A: a -> 2 a', B: b -> 3 b', f(a) = 5 b, f(a') = 15/2 b' (a chain map).
+    a = LinearComplex(
+        lambda n: [[("a",)], [("a'",)]][n] if n < 2 else [],
+        lambda n, key: {("a'",): 2} if n == 0 else {},
+    )
+    b = LinearComplex(
+        lambda n: [[("b",)], [("b'",)]][n] if n < 2 else [],
+        lambda n, key: {("b'",): 3} if n == 0 else {},
+    )
+    f = {("a",): {("b",): 5}, ("a'",): {("b'",): Fraction(15, 2)}}
+    cone = MappingCone(a, b, lambda n, key: f[key], ("A", "B"))
+    assert cone.keys(0) == [("A", "a")]
+    assert cone.keys(1) == [("A", "a'"), ("B", "b")]
+    assert cone.keys(2) == [("B", "b'")]
+    assert cone.chain_matrix(1).entries == {(0, 0): Fraction(15, 2)}
+    # [[d_A, 0], [-f, -d_B]] in each degree.
+    assert cone.matrix(0).entries == {(0, 0): 2, (1, 0): -5}
+    assert cone.matrix(1).entries == {(0, 0): Fraction(-15, 2), (0, 1): -3}
+    assert (cone.matrix(1).nrows, cone.matrix(1).ncols) == (1, 2)
+    assert cone.matrix(2).entries == {}
+    # f is a quasi-isomorphism (both sides are acyclic), so is the cone.
+    assert cone.betti(3) == [0, 0, 0, 0]
+
+
+def test_cone_of_the_identity_is_acyclic():
+    cx = _simplex_complex()
+    cone = MappingCone(cx, cx, lambda n, key: {key: 1}, ("A", "B"))
+    assert cone.keys(1) == [("A", 0, 1), ("A", 0, 2), ("A", 1, 2), ("B", 0), ("B", 1), ("B", 2)]
+    assert [cone.dim(n) for n in range(4)] == [3, 6, 4, 1]
+    assert cone.betti(3) == [0, 0, 0, 0]
+
+
+def _sl2() -> LieAlgebra:
+    return LieAlgebra(
+        3, {(0, 1): vector([0, 2, 0]), (0, 2): vector([0, 0, -2]), (1, 2): vector([1, 0, 0])}
+    )
+
+
+def _gl2() -> NijenhuisLieAlgebra:
+    # sl2 plus a central fourth basis vector.
+    brackets = {key: vector(list(value) + [0]) for key, value in _sl2().brackets.items()}
+    return NijenhuisLieAlgebra(LieAlgebra(4, brackets), Endomorphism.diagonal([1, 1, 2, 3]))
+
+
+def _book6() -> NijenhuisLieAlgebra:
+    # [e0, ei] = ei: every diagonal operator has zero torsion.
+    brackets = {(0, i): vector([1 if k == i else 0 for k in range(6)]) for i in range(1, 6)}
+    return NijenhuisLieAlgebra(LieAlgebra(6, brackets), Endomorphism.diagonal([1, 2, 3, -1, 2, 5]))
+
+
+def _sl2_semidirect() -> NijenhuisLieAlgebra:
+    base = NijenhuisLieAlgebra(_sl2(), Endomorphism.diagonal([1, 1, 2]))
+    return semidirect_nijenhuis(base, adjoint_nijenhuis(base))
+
+
+def _assert_squares_to_zero(cx: LinearComplex, top: int) -> None:
+    for n in range(1, top + 1):
+        assert cx.matrix(n).matmul(cx.matrix(n - 1)).is_zero(), n
+
+
+@pytest.mark.parametrize(
+    "nja, top",
+    [(_book6(), 3), (_sl2_semidirect(), 3), (_gl2(), 4)],
+    ids=["book6", "sl2xsl2", "gl2"],
+)
+def test_differential_matrices_square_to_zero(nja, top):
+    complexes = _complexes(nja, adjoint_nijenhuis(nja))
+    for which in ("ce", "njo", "njl"):
+        _assert_squares_to_zero(complexes[which], top)
+
+
+def test_fn_slices_and_the_twisted_complex_square_to_zero():
+    differential = _diagonal_differential(3)
+    for d in range(3):
+        _assert_squares_to_zero(_fn_slice(differential, 3, d), 3)
+    gl2 = _gl2()
+    _assert_squares_to_zero(_twisted_complex(gl2.algebra, gl2.operator), 3)
+    sl2xsl2 = _sl2_semidirect()
+    _assert_squares_to_zero(_twisted_complex(sl2xsl2.algebra, sl2xsl2.operator), 2)

@@ -36,3 +36,20 @@ def test_runtime_imports_are_stdlib_or_njkit():
                 if top != "njkit" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno}: {name}")
     assert not outside
+
+
+def test_no_float_literal_or_float_call_in_the_package():
+    """Exact arithmetic only: no float literal and no ``float(...)`` call in
+    any module of the package."""
+    found = []
+    for path in sorted(Path(njkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append(f"{path.name}:{node.lineno}: literal {node.value!r}")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+            ):
+                found.append(f"{path.name}:{node.lineno}: float(...)")
+    assert not found

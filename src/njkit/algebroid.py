@@ -13,7 +13,10 @@ vector field Q; the module also builds Q, graded commutators of polynomial
 fields on the shifted bundle, the extraction of multilinear section brackets
 from such fields, the comparison map Phi into section-valued forms, the
 mapping-cone differential coupling the two complexes, and the Maurer-Cartan
-residuals of a candidate Nijenhuis structure.
+residuals of a candidate Nijenhuis structure. A field is a derivation of the
+function algebra, fixed by its values on the generators; :func:`field_apply`
+is the one implementation of that action, and the graded commutator (hence
+Q^2) and the exterior derivative of :mod:`njkit.forms` are built on it.
 
 Everything is exact: coefficients are rational polynomials and every check is
 a polynomial identity.
@@ -487,28 +490,21 @@ class GradedField:
             raise ValueError("rank must be >= 1")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        clean_a: dict[tuple[tuple[int, ...], int], Poly] = {}
-        for (key, alpha), poly in self.a_part.items():
-            key = tuple(key)
-            _check_index_tuple(key, self.degree, self.rank)
-            if not 1 <= alpha <= self.base_dim:
-                raise ValueError(f"base index {alpha} out of range 1..{self.base_dim}")
-            if poly.n_vars != self.base_dim:
-                raise ValueError("coefficient variable count mismatch")
-            if not poly.is_zero():
-                clean_a[(key, alpha)] = poly
-        clean_d: dict[tuple[tuple[int, ...], int], Poly] = {}
-        for (key, beta), poly in self.d_part.items():
-            key = tuple(key)
-            _check_index_tuple(key, self.degree + 1, self.rank)
-            if not 1 <= beta <= self.rank:
-                raise ValueError(f"fiber index {beta} out of range 1..{self.rank}")
-            if poly.n_vars != self.base_dim:
-                raise ValueError("coefficient variable count mismatch")
-            if not poly.is_zero():
-                clean_d[(key, beta)] = poly
-        object.__setattr__(self, "a_part", clean_a)
-        object.__setattr__(self, "d_part", clean_d)
+        for name, arity, bound, kind in (
+            ("a_part", self.degree, self.base_dim, "base"),
+            ("d_part", self.degree + 1, self.rank, "fiber"),
+        ):
+            clean: dict[tuple[tuple[int, ...], int], Poly] = {}
+            for (key, index), poly in getattr(self, name).items():
+                key = tuple(key)
+                _check_index_tuple(key, arity, self.rank)
+                if not 1 <= index <= bound:
+                    raise ValueError(f"{kind} index {index} out of range 1..{bound}")
+                if poly.n_vars != self.base_dim:
+                    raise ValueError("coefficient variable count mismatch")
+                if not poly.is_zero():
+                    clean[(key, index)] = poly
+            object.__setattr__(self, name, clean)
 
     @classmethod
     def zero(cls, base_dim: int, rank: int, degree: int) -> "GradedField":
@@ -589,17 +585,15 @@ def field_apply(X: GradedField, F: FiberForm) -> FiberForm:
 
     The base part differentiates coefficients; the fiber part substitutes
     for one odd generator at a time, with the Koszul sign for sliding the
-    derivation past the generators in front of the substitution slot.
+    derivation past the generators in front of the substitution slot. The
+    result has the type of ``F``.
     """
     if X.base_dim != F.base_dim or X.rank != F.rank:
         raise ValueError("field and form live on different algebroids")
-    m = X.base_dim
     out: dict[tuple[int, ...], Poly] = {}
 
     def bump(key: tuple[int, ...], poly: Poly) -> None:
-        if poly.is_zero():
-            return
-        out[key] = out.get(key, Poly.zero(m)).add(poly)
+        out[key] = out[key].add(poly) if key in out else poly
 
     for J, p in F.entries.items():
         for (I, alpha), f in X.a_part.items():
@@ -624,131 +618,38 @@ def field_apply(X: GradedField, F: FiberForm) -> FiberForm:
                     continue
                 s2, key = second
                 bump(key, p.mul(g).scale(slide * s1 * s2))
-    return FiberForm(m, X.rank, F.degree + X.degree, out)
-
-
-def _a_coeff(X: GradedField, word: tuple[int, ...], alpha: int) -> Poly:
-    """Base-part coefficient on an arbitrary index word, antisymmetrized."""
-    return _antisymmetrized(X.a_part, word, alpha, X.base_dim)
-
-
-def _d_coeff(X: GradedField, word: tuple[int, ...], beta: int) -> Poly:
-    """Fiber-part coefficient on an arbitrary index word, antisymmetrized."""
-    return _antisymmetrized(X.d_part, word, beta, X.base_dim)
+    return F._with(out, F.degree + X.degree)
 
 
 def graded_commutator(X: GradedField, Y: GradedField) -> GradedField:
-    """Graded commutator of two polynomial fields on the shifted bundle.
+    """Graded commutator ``X Y - (-1)^(|X||Y|) Y X`` of two polynomial
+    fields on the shifted bundle.
 
-    Computed from the closed-form shuffle expansion of the coefficients:
-    four blocks for the base part (each field differentiating or plugging
-    into the other) and four for the fiber part, with the sign
-    ``(-1)^(|X||Y|)`` between the two orders. The test suite recomputes
-    the same field from first principles, by composing the two actions on
-    generators, and keeps the two in exact agreement.
+    A derivation of the function algebra is fixed by its values on the
+    generators, so each coefficient is the composed action of the two
+    fields (:func:`field_apply`) on one base coordinate or one odd
+    generator. The test suite keeps the closed-form shuffle expansion of
+    the coefficients as an oracle and holds the two in exact agreement.
     """
     _check_same_shape(X, Y)
     m, n = X.base_dim, X.rank
-    b = X.degree + 1
-    c = Y.degree + 1
-    swap = -1 if ((b - 1) * (c - 1)) % 2 else 1
+    sign = -1 if (X.degree * Y.degree) % 2 else 1
 
-    a_part: dict[tuple[tuple[int, ...], int], Poly] = {}
-    for T in combinations(range(1, n + 1), b + c - 2):
-        for alpha in range(1, m + 1):
-            acc = Poly.zero(m)
-            for sigma in enumerate_shuffles((b - 1, c - 1)):
-                word = sigma.gather(T)
-                s = sigma.sign()
-                phi = Y.a_part.get((word[b - 1 :], alpha))
-                if phi is not None:
-                    for theta in range(1, m + 1):
-                        f = X.a_part.get((word[: b - 1], theta))
-                        if f is None:
-                            continue
-                        acc = acc.add(f.mul(phi.partial(theta)).scale(s))
-            if c >= 2:
-                for sigma in enumerate_shuffles((b, c - 2)):
-                    word = sigma.gather(T)
-                    s = sigma.sign()
-                    for beta in range(1, n + 1):
-                        g = X.d_part.get((word[:b], beta))
-                        if g is None:
-                            continue
-                        phi = _a_coeff(Y, (beta,) + word[b:], alpha)
-                        if not phi.is_zero():
-                            acc = acc.add(g.mul(phi).scale(s))
-            for sigma in enumerate_shuffles((c - 1, b - 1)):
-                word = sigma.gather(T)
-                s = sigma.sign() * (-swap)
-                f = X.a_part.get((word[c - 1 :], alpha))
-                if f is not None:
-                    for theta in range(1, m + 1):
-                        phi = Y.a_part.get((word[: c - 1], theta))
-                        if phi is None:
-                            continue
-                        acc = acc.add(phi.mul(f.partial(theta)).scale(s))
-            if b >= 2:
-                for sigma in enumerate_shuffles((c, b - 2)):
-                    word = sigma.gather(T)
-                    s = sigma.sign() * (-swap)
-                    for beta in range(1, n + 1):
-                        psi = Y.d_part.get((word[:c], beta))
-                        if psi is None:
-                            continue
-                        f = _a_coeff(X, (beta,) + word[c:], alpha)
-                        if not f.is_zero():
-                            acc = acc.add(psi.mul(f).scale(s))
-            if not acc.is_zero():
-                a_part[(T, alpha)] = acc
+    def on(generator: FiberForm) -> dict[tuple[int, ...], Poly]:
+        upper = field_apply(X, field_apply(Y, generator))
+        lower = field_apply(Y, field_apply(X, generator))
+        return upper.sub(lower.scale(sign)).entries
 
-    d_part: dict[tuple[tuple[int, ...], int], Poly] = {}
-    for U in combinations(range(1, n + 1), b + c - 1):
-        for omega in range(1, n + 1):
-            acc = Poly.zero(m)
-            for sigma in enumerate_shuffles((b - 1, c)):
-                word = sigma.gather(U)
-                s = sigma.sign()
-                psi = Y.d_part.get((word[b - 1 :], omega))
-                if psi is not None:
-                    for alpha in range(1, m + 1):
-                        f = X.a_part.get((word[: b - 1], alpha))
-                        if f is None:
-                            continue
-                        acc = acc.add(f.mul(psi.partial(alpha)).scale(s))
-            for sigma in enumerate_shuffles((b, c - 1)):
-                word = sigma.gather(U)
-                s = sigma.sign()
-                for beta in range(1, n + 1):
-                    g = X.d_part.get((word[:b], beta))
-                    if g is None:
-                        continue
-                    psi = _d_coeff(Y, (beta,) + word[b:], omega)
-                    if not psi.is_zero():
-                        acc = acc.add(g.mul(psi).scale(s))
-            for sigma in enumerate_shuffles((c - 1, b)):
-                word = sigma.gather(U)
-                s = sigma.sign() * (-swap)
-                g = X.d_part.get((word[c - 1 :], omega))
-                if g is not None:
-                    for alpha in range(1, m + 1):
-                        phi = Y.a_part.get((word[: c - 1], alpha))
-                        if phi is None:
-                            continue
-                        acc = acc.add(phi.mul(g.partial(alpha)).scale(s))
-            for sigma in enumerate_shuffles((c, b - 1)):
-                word = sigma.gather(U)
-                s = sigma.sign() * (-swap)
-                for beta in range(1, n + 1):
-                    psi = Y.d_part.get((word[:c], beta))
-                    if psi is None:
-                        continue
-                    g = _d_coeff(X, (beta,) + word[c:], omega)
-                    if not g.is_zero():
-                        acc = acc.add(psi.mul(g).scale(s))
-            if not acc.is_zero():
-                d_part[(U, omega)] = acc
-
+    a_part = {
+        (I, alpha): poly
+        for alpha in range(1, m + 1)
+        for I, poly in on(FiberForm.coordinate(m, n, alpha)).items()
+    }
+    d_part = {
+        (J, beta): poly
+        for beta in range(1, n + 1)
+        for J, poly in on(FiberForm.fiber_coordinate(m, n, beta)).items()
+    }
     return GradedField(m, n, X.degree + Y.degree, a_part, d_part)
 
 
@@ -1172,46 +1073,28 @@ def validate_phi_chain_map(
         if left != right:
             failures.append({"identity": "chain-map", "field": label})
 
+    def drawn() -> Poly:
+        poly = Poly.zero(m)
+        for mono in monos:
+            poly = poly.add(mono.scale(Rational(rng.randint(-2, 2), rng.randint(1, 2))))
+        return poly
+
     for d in range(0, 4):
-        a_slots = [
-            (I, alpha)
-            for I in combinations(range(1, n + 1), d)
-            for alpha in range(1, m + 1)
+        # Base-part slots, then fiber-part slots.
+        slots = [
+            [(I, i) for I in combinations(range(1, n + 1), arity) for i in range(1, bound + 1)]
+            for arity, bound in ((d, m), (d + 1, n))
         ]
-        d_slots = [
-            (J, beta)
-            for J in combinations(range(1, n + 1), d + 1)
-            for beta in range(1, n + 1)
-        ]
-        for slot in a_slots:
-            for mono in monos:
-                check(
-                    GradedField(m, n, d, {slot: mono}, {}),
-                    f"a{slot}*{mono.format()}",
-                )
-        for slot in d_slots:
-            for mono in monos:
-                check(
-                    GradedField(m, n, d, {}, {slot: mono}),
-                    f"d{slot}*{mono.format()}",
-                )
+        for part, (kind, part_slots) in enumerate(zip("ad", slots)):
+            for slot in part_slots:
+                for mono in monos:
+                    parts: list[dict] = [{}, {}]
+                    parts[part] = {slot: mono}
+                    check(GradedField(m, n, d, *parts), f"{kind}{slot}*{mono.format()}")
         for s in range(samples):
-            a_part = {}
-            for slot in a_slots:
-                poly = Poly.zero(m)
-                for mono in monos:
-                    poly = poly.add(mono.scale(Rational(rng.randint(-2, 2), rng.randint(1, 2))))
-                a_part[slot] = poly
-            d_part = {}
-            for slot in d_slots:
-                poly = Poly.zero(m)
-                for mono in monos:
-                    poly = poly.add(mono.scale(Rational(rng.randint(-2, 2), rng.randint(1, 2))))
-                d_part[slot] = poly
-            check(
-                GradedField(m, n, d, a_part, d_part),
-                f"random(degree={d}, sample={s})",
-            )
+            # All base-part draws of a sample come before its fiber-part draws.
+            parts = [{slot: drawn() for slot in part_slots} for part_slots in slots]
+            check(GradedField(m, n, d, *parts), f"random(degree={d}, sample={s})")
 
     return ValidationReport(
         f"phi chain map (seed={seed}, samples={samples})",

@@ -71,9 +71,6 @@ class GradedSpace:
     def basis(self) -> list[BasisElement]:
         return [(d, i) for d, n in self.dims for i in range(n)]
 
-    def total_dim(self) -> int:
-        return sum(n for _, n in self.dims)
-
 
 def _gv_add(acc: GradedVector, other: GradedVector, coeff: Fraction) -> None:
     if not coeff:
@@ -310,53 +307,25 @@ class SuspendedHom:
     __hash__ = None  # type: ignore[assignment]
 
 
-def to_suspended(f: Cochain) -> SuspendedHom:
-    """Identify an alternating cochain on an ungraded space with a graded
-    symmetric suspended-valued map on the suspension. Basis values carry
-    over verbatim; all signs live in the evaluation rules."""
+def _cochain_on_suspension(f: Cochain, sv_valued: bool, mismatch: str) -> SuspendedHom:
+    """``f`` as a map on the suspension with its basis values carried over
+    verbatim: suspended values of degree ``1 - f.degree`` or plain values of
+    degree ``-f.degree``."""
     if f.source_dim != f.target_dim:
-        raise ValueError("suspension identification needs source == target")
+        raise ValueError(mismatch)
     space = GradedSpace.suspended_ungraded(f.source_dim)
     values = {
         tuple((1, i) for i in key): {(1, j): v for j, v in enumerate(vec) if v}
         for key, vec in f.values.items()
     }
-    return SuspendedHom(space, f.degree, 1 - f.degree, True, values)
+    return SuspendedHom(space, f.degree, int(sv_valued) - f.degree, sv_valued, values)
 
 
-def from_suspended(sf: SuspendedHom) -> Cochain:
-    """Inverse of :func:`to_suspended`."""
-    dim = _ungraded_dim(sf)
-    if not sf.sv_valued:
-        raise ValueError("expected a suspended-valued map")
-    values = {}
-    for args, gv in sf.values.items():
-        key = tuple(i for _, i in args)
-        vec = [Fraction(0)] * dim
-        for (_, j), v in gv.items():
-            vec[j] = v
-        values[key] = tuple(vec)
-    return Cochain(sf.arity, dim, dim, values)
-
-
-def cochain_to_plain(g: Cochain) -> SuspendedHom:
-    """Identify a cochain with a plain-valued map on suspended arguments
-    (the operator-complex side of the dictionary)."""
-    if g.source_dim != g.target_dim:
-        raise ValueError("identification needs source == target")
-    space = GradedSpace.suspended_ungraded(g.source_dim)
-    values = {
-        tuple((1, i) for i in key): {(1, j): v for j, v in enumerate(vec) if v}
-        for key, vec in g.values.items()
-    }
-    return SuspendedHom(space, g.degree, -g.degree, False, values)
-
-
-def plain_to_cochain(h: SuspendedHom) -> Cochain:
-    """Inverse of :func:`cochain_to_plain`."""
+def _suspension_to_cochain(h: SuspendedHom, sv_valued: bool) -> Cochain:
+    """Inverse of :func:`_cochain_on_suspension` for the given flavour."""
     dim = _ungraded_dim(h)
-    if h.sv_valued:
-        raise ValueError("expected a plain-valued map")
+    if h.sv_valued != sv_valued:
+        raise ValueError(f"expected a {'suspended' if sv_valued else 'plain'}-valued map")
     values = {}
     for args, gv in h.values.items():
         key = tuple(i for _, i in args)
@@ -365,6 +334,29 @@ def plain_to_cochain(h: SuspendedHom) -> Cochain:
             vec[j] = v
         values[key] = tuple(vec)
     return Cochain(h.arity, dim, dim, values)
+
+
+def to_suspended(f: Cochain) -> SuspendedHom:
+    """Identify an alternating cochain on an ungraded space with a graded
+    symmetric suspended-valued map on the suspension. Basis values carry
+    over verbatim; all signs live in the evaluation rules."""
+    return _cochain_on_suspension(f, True, "suspension identification needs source == target")
+
+
+def from_suspended(sf: SuspendedHom) -> Cochain:
+    """Inverse of :func:`to_suspended`."""
+    return _suspension_to_cochain(sf, True)
+
+
+def cochain_to_plain(g: Cochain) -> SuspendedHom:
+    """Identify a cochain with a plain-valued map on suspended arguments
+    (the operator-complex side of the dictionary)."""
+    return _cochain_on_suspension(g, False, "identification needs source == target")
+
+
+def plain_to_cochain(h: SuspendedHom) -> Cochain:
+    """Inverse of :func:`cochain_to_plain`."""
+    return _suspension_to_cochain(h, False)
 
 
 def _ungraded_dim(h: SuspendedHom) -> int:

@@ -102,11 +102,6 @@ class Cochain:
         vec = vector(value)
         return cls(0, source_dim, len(vec), {(): vec})
 
-    def constant_value(self) -> Vector:
-        if self.degree != 0:
-            raise ValueError("not a degree-0 cochain")
-        return self.values.get((), zero_vector(self.target_dim))
-
     def evaluate(self, indices: Sequence[int]) -> Vector:
         """Value on arbitrary basis indices, using antisymmetry."""
         idx = tuple(indices)
@@ -473,9 +468,16 @@ def les_verify(
     The sequence repeats ``cone^p -> lie^p -> njo^p -> cone^(p+1)`` with the
     projection, the comparison map, and the inclusion (each a chain map up
     to sign, which does not affect exactness). All checks are exact rank
-    computations on cocycle representatives.
+    computations on cocycle representatives. Raises ``ValueError`` naming
+    the complex and the degree if a differential up to ``max_degree`` does
+    not square to zero, where the ranks would have no meaning.
     """
     cx = _complexes(nja, nrep)
+    for name, complex_ in cx.items():
+        try:
+            complex_.check_complex(max_degree)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
     ce, njo, njl = cx["ce"], cx["njo"], cx["njl"]
 
     # The cone's basis in degree p is that of ce^p followed by that of

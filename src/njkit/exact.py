@@ -414,16 +414,18 @@ class LinearComplex:
             self._ranks[n] = self.matrix(n).rank()
         return self._ranks[n]
 
-    def betti(self, max_degree: int) -> list[int]:
-        """``b_n = dim C^n - rank d_n - rank d_(n-1)`` for ``n = 0..max_degree``.
-
-        First checks ``d_n d_(n-1) = 0`` on the matrices the numbers use, and
-        raises ``ValueError`` naming ``n`` where it fails: the differential
-        of a candidate structure need not square to zero.
-        """
+    def check_complex(self, max_degree: int) -> None:
+        """Check ``d_n d_(n-1) = 0`` for ``n = 1..max_degree`` and raise
+        ``ValueError`` naming ``n`` where it fails: the differential of a
+        candidate structure need not square to zero."""
         for n in range(1, max_degree + 1):
             if not self.matrix(n).matmul(self.matrix(n - 1)).is_zero():
                 raise ValueError(f"not a complex: d_{n} d_{n - 1} != 0")
+
+    def betti(self, max_degree: int) -> list[int]:
+        """``b_n = dim C^n - rank d_n - rank d_(n-1)`` for ``n = 0..max_degree``,
+        after :meth:`check_complex` on the matrices the numbers use."""
+        self.check_complex(max_degree)
         return [self.dim(n) - self.rank(n) - self.rank(n - 1) for n in range(max_degree + 1)]
 
     def cocycles(self, n: int) -> list[dict[int, Fraction]]:

@@ -24,13 +24,15 @@ from .algebroid import (
     FiberForm,
     algebroid_fn_bracket,
     algebroid_torsion,
+    field_apply,
     fn_bracket_on_sections,
+    homological_field_q,
     trivial_algebroid,
 )
 from .cohomology import BettiReport
 from .exact import LinearComplex, enumerate_shuffles
 from .lie import ValidationReport
-from .poly import Poly, _merge_indices, _monomials
+from .poly import Poly, _monomials
 
 
 class ScalarForm(FiberForm):
@@ -98,22 +100,9 @@ def _check_same_base(a, b) -> None:
 
 
 def de_rham_d(beta: ScalarForm) -> ScalarForm:
-    """Coordinate exterior derivative of a scalar form; ``d(d(beta)) = 0``."""
-    n = beta.n_vars
-    out: dict[tuple[int, ...], Poly] = {}
-    for key, poly in beta.entries.items():
-        for m in range(1, n + 1):
-            dp = poly.partial(m)
-            if dp.is_zero():
-                continue
-            merged = _merge_indices((m,), key)
-            if merged is None:
-                continue
-            sign, new_key = merged
-            if sign < 0:
-                dp = dp.neg()
-            out[new_key] = out.get(new_key, Poly.zero(n)).add(dp)
-    return ScalarForm(n, beta.degree + 1, out)
+    """Exterior derivative of a scalar form: the action of the odd field of
+    the tangent algebroid; ``d(d(beta)) = 0``."""
+    return field_apply(homological_field_q(trivial_algebroid(beta.n_vars)), beta)
 
 
 def interior_product(K: VectorValuedForm, beta: ScalarForm) -> ScalarForm:

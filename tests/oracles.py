@@ -9,9 +9,11 @@ the tests compare the two entry for entry.
 
 Geometric side: the Frolicher-Nijenhuis bracket from the wedge /
 Lie-derivative definition (against the five-sum on frames in
-``njkit.algebroid``), the graded commutator of shifted-bundle fields
-rebuilt from its action on generators (against the closed-form shuffle
-expansion), and the Richardson-Nijenhuis bracket of vector-valued forms
+``njkit.algebroid``), the graded commutator of shifted-bundle fields from
+the closed-form shuffle expansion of its coefficients (against the
+composed action on generators), the exterior derivative from its
+coordinate formula (against the odd field of the tangent algebroid), and
+the Richardson-Nijenhuis bracket of vector-valued forms
 from insertions (against the brace bracket of ``njkit.braces`` on constant
 forms).
 
@@ -26,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from njkit.algebroid import FiberForm, GradedField, field_apply
+from njkit.algebroid import GradedField, _antisymmetrized
 from njkit.braces import SuspendedHom, canonical_tuples
 from njkit.cohomology import Cochain, PairCochain, _complexes
 from njkit.exact import Permutation, SparseMatrix, enumerate_shuffles
@@ -50,7 +52,7 @@ from njkit.lie import (
     vector,
     zero_vector,
 )
-from njkit.poly import Poly
+from njkit.poly import Poly, _merge_indices
 
 
 def evaluate_mixed(f: Cochain, args: Sequence) -> Vector:
@@ -266,34 +268,106 @@ def rn_bracket_forms(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedFo
     return _rn_insertion(K, L).sub(_rn_insertion(L, K).scale(sign))
 
 
-def commutator_from_action(X: GradedField, Y: GradedField) -> GradedField:
-    """The graded commutator rebuilt from its action on generators.
+def commutator_shuffle_expansion(X: GradedField, Y: GradedField) -> GradedField:
+    """The graded commutator from the closed-form shuffle expansion of its
+    coefficients.
 
-    A derivation of the function algebra is determined by what it does to
-    the base coordinates and the odd generators, so composing the two
-    actions on exactly those inputs reconstructs the bracket.
+    Four blocks for the base part and four for the fiber part: each field
+    differentiates the other's coefficients or plugs its fiber part into
+    the other's slots, and the two orders differ by ``-(-1)^(|X||Y|)``.
     """
     if X.base_dim != Y.base_dim or X.rank != Y.rank:
         raise ValueError("graded fields live on different algebroids")
     m, n = X.base_dim, X.rank
-    sign = -1 if (X.degree * Y.degree) % 2 else 1
+    b = X.degree + 1
+    c = Y.degree + 1
+    swap = -1 if ((b - 1) * (c - 1)) % 2 else 1
 
-    def composed(F: FiberForm) -> FiberForm:
-        upper = field_apply(X, field_apply(Y, F))
-        lower = field_apply(Y, field_apply(X, F))
-        return upper.sub(lower.scale(sign))
+    def a_coeff(Z: GradedField, word: tuple[int, ...], alpha: int) -> Poly:
+        return _antisymmetrized(Z.a_part, word, alpha, m)
+
+    def d_coeff(Z: GradedField, word: tuple[int, ...], beta: int) -> Poly:
+        return _antisymmetrized(Z.d_part, word, beta, m)
 
     a_part: dict[tuple[tuple[int, ...], int], Poly] = {}
-    for alpha in range(1, m + 1):
-        G = composed(FiberForm.coordinate(m, n, alpha))
-        for I, poly in G.entries.items():
-            a_part[(I, alpha)] = poly
+    for T in combinations(range(1, n + 1), b + c - 2):
+        for alpha in range(1, m + 1):
+            acc = Poly.zero(m)
+            for sigma in enumerate_shuffles((b - 1, c - 1)):
+                word = sigma.gather(T)
+                for theta in range(1, m + 1):
+                    f = a_coeff(X, word[: b - 1], theta)
+                    phi = a_coeff(Y, word[b - 1 :], alpha)
+                    acc = acc.add(f.mul(phi.partial(theta)).scale(sigma.sign()))
+            if c >= 2:
+                for sigma in enumerate_shuffles((b, c - 2)):
+                    word = sigma.gather(T)
+                    for beta in range(1, n + 1):
+                        g = d_coeff(X, word[:b], beta)
+                        phi = a_coeff(Y, (beta,) + word[b:], alpha)
+                        acc = acc.add(g.mul(phi).scale(sigma.sign()))
+            for sigma in enumerate_shuffles((c - 1, b - 1)):
+                word = sigma.gather(T)
+                for theta in range(1, m + 1):
+                    phi = a_coeff(Y, word[: c - 1], theta)
+                    f = a_coeff(X, word[c - 1 :], alpha)
+                    acc = acc.add(phi.mul(f.partial(theta)).scale(-swap * sigma.sign()))
+            if b >= 2:
+                for sigma in enumerate_shuffles((c, b - 2)):
+                    word = sigma.gather(T)
+                    for beta in range(1, n + 1):
+                        psi = d_coeff(Y, word[:c], beta)
+                        f = a_coeff(X, (beta,) + word[c:], alpha)
+                        acc = acc.add(psi.mul(f).scale(-swap * sigma.sign()))
+            a_part[(T, alpha)] = acc
+
     d_part: dict[tuple[tuple[int, ...], int], Poly] = {}
-    for beta in range(1, n + 1):
-        G = composed(FiberForm.fiber_coordinate(m, n, beta))
-        for J, poly in G.entries.items():
-            d_part[(J, beta)] = poly
+    for U in combinations(range(1, n + 1), b + c - 1):
+        for omega in range(1, n + 1):
+            acc = Poly.zero(m)
+            for sigma in enumerate_shuffles((b - 1, c)):
+                word = sigma.gather(U)
+                for alpha in range(1, m + 1):
+                    f = a_coeff(X, word[: b - 1], alpha)
+                    psi = d_coeff(Y, word[b - 1 :], omega)
+                    acc = acc.add(f.mul(psi.partial(alpha)).scale(sigma.sign()))
+            for sigma in enumerate_shuffles((b, c - 1)):
+                word = sigma.gather(U)
+                for beta in range(1, n + 1):
+                    g = d_coeff(X, word[:b], beta)
+                    psi = d_coeff(Y, (beta,) + word[b:], omega)
+                    acc = acc.add(g.mul(psi).scale(sigma.sign()))
+            for sigma in enumerate_shuffles((c - 1, b)):
+                word = sigma.gather(U)
+                for alpha in range(1, m + 1):
+                    phi = a_coeff(Y, word[: c - 1], alpha)
+                    g = d_coeff(X, word[c - 1 :], omega)
+                    acc = acc.add(phi.mul(g.partial(alpha)).scale(-swap * sigma.sign()))
+            for sigma in enumerate_shuffles((c, b - 1)):
+                word = sigma.gather(U)
+                for beta in range(1, n + 1):
+                    psi = d_coeff(Y, word[:c], beta)
+                    g = d_coeff(X, (beta,) + word[c:], omega)
+                    acc = acc.add(psi.mul(g).scale(-swap * sigma.sign()))
+            d_part[(U, omega)] = acc
+
     return GradedField(m, n, X.degree + Y.degree, a_part, d_part)
+
+
+def de_rham_coordinates(beta: ScalarForm) -> ScalarForm:
+    """The exterior derivative from its coordinate formula:
+    ``d(p dx^I) = sum_k dp/dx_k dx^k ^ dx^I``."""
+    n = beta.n_vars
+    out: dict[tuple[int, ...], Poly] = {}
+    for key, poly in beta.entries.items():
+        for k in range(1, n + 1):
+            merged = _merge_indices((k,), key)
+            if merged is None:
+                continue
+            sign, new_key = merged
+            term = poly.partial(k).scale(sign)
+            out[new_key] = out[new_key].add(term) if new_key in out else term
+    return ScalarForm(n, beta.degree + 1, out)
 
 
 def enumerate_local_shuffles(block_sizes: Sequence[int]) -> list[Permutation]:

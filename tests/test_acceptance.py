@@ -75,7 +75,7 @@ from njkit.lie import (
     validate_representation,
     vector,
 )
-from oracles import fn_bracket_decomposable
+from oracles import commutator_shuffle_expansion, fn_bracket_decomposable
 
 
 def _finish(num: int, label: str, failures: list[str]) -> None:
@@ -570,9 +570,12 @@ def test_criterion_08_algebroid_routes_and_odd_field():
             failures.append(f"fixture {k}: routes disagree")
         if report.ok != expect_valid:
             failures.append(f"fixture {k}: expected valid={expect_valid}")
+        Q = homological_field_q(A)
+        if graded_commutator(Q, Q) != commutator_shuffle_expansion(Q, Q):
+            failures.append(f"fixture {k}: Q^2 differs from the shuffle expansion")
         if not expect_valid:
             continue
-        bee = b_from_field(homological_field_q(A))
+        bee = b_from_field(Q)
         basis = [
             AlgebroidForm.basis_section(A.base_dim, A.rank, i)
             for i in range(1, A.rank + 1)

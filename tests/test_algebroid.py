@@ -12,9 +12,11 @@ regression pins.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -44,14 +46,21 @@ from njkit.algebroid import (
     validate_phi_chain_map,
 )
 from njkit.exact import enumerate_shuffles
+from njkit.cli import parse_algebroid_file, parse_lie_file
 from njkit.forms import (
     Poly,
     ScalarForm,
     VectorValuedForm,
-    de_rham_d,
 )
 from njkit.lie import Endomorphism, LieAlgebra, nijenhuis_torsion, vector
-from oracles import commutator_from_action, fn_bracket_decomposable
+from oracles import (
+    commutator_shuffle_expansion,
+    de_rham_coordinates,
+    fn_bracket_decomposable,
+)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _p(text: str, n_vars: int = 2) -> Poly:
@@ -346,7 +355,7 @@ def test_field_apply_is_the_de_rham_differential_on_the_trivial_algebroid():
                 for I in combinations(range(1, n + 1), deg)
             }
             lhs = field_apply(Q, FiberForm(n, n, deg, entries))
-            rhs = de_rham_d(ScalarForm(n, deg, entries))
+            rhs = de_rham_coordinates(ScalarForm(n, deg, entries))
             assert lhs.entries == dict(rhs.entries)
 
     Q2 = homological_field_q(trivial_algebroid(2))
@@ -377,12 +386,16 @@ def test_field_apply_satisfies_the_graded_leibniz_rule():
             assert lhs == rhs
 
 
-def test_graded_commutator_matches_composition_of_actions():
+def test_graded_commutator_matches_the_shuffle_expansion():
     rng = random.Random(21)
+    # Degree-3 fields are the top of validate_phi_chain_map's sweep; rank 4
+    # and 5 leave room for their fiber parts and for the commutator.
     shapes = {
         (2, 2): [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)],
         (1, 2): [(0, 1), (1, 2)],
         (0, 3): [(1, 1), (2, 2)],
+        (1, 4): [(1, 3), (3, 0), (2, 3)],
+        (0, 5): [(1, 3), (0, 3)],
     }
     for (m, n), pairs in shapes.items():
         for dX, dY in pairs:
@@ -390,7 +403,7 @@ def test_graded_commutator_matches_composition_of_actions():
                 X = _rfield(rng, m, n, dX)
                 Y = _rfield(rng, m, n, dY)
                 Z = graded_commutator(X, Y)
-                assert Z == commutator_from_action(X, Y)
+                assert Z == commutator_shuffle_expansion(X, Y)
                 sgn = -1 if (dX * dY) % 2 else 1
                 assert graded_commutator(Y, X) == Z.scale(-sgn)
 
@@ -414,7 +427,33 @@ def test_odd_field_squares_to_zero_exactly_on_valid_algebroids():
     Qbad = homological_field_q(bad)
     sq = graded_commutator(Qbad, Qbad)
     assert not sq.is_zero()
-    assert sq == commutator_from_action(Qbad, Qbad)
+    assert sq == commutator_shuffle_expansion(Qbad, Qbad)
+
+
+def test_odd_field_square_matches_the_shuffle_expansion_on_the_fixture_files():
+    valid = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        data = json.loads(path.read_text())
+        if "rank" in data:
+            A = parse_algebroid_file(data).algebroid
+        elif "brackets" in data:
+            A = algebroid_over_point(parse_lie_file(data).algebra)
+        else:
+            continue
+        Q = homological_field_q(A)
+        sq = graded_commutator(Q, Q)
+        assert sq == commutator_shuffle_expansion(Q, Q), path.name
+        valid[path.name] = sq.is_zero()
+    assert valid == {
+        "bad-anchor.json": False,
+        "bad-jacobi.json": False,
+        "dim2-diag.json": True,
+        "dim2-rep.json": True,
+        "sl2-diag.json": True,
+        "sl2-point.json": True,
+        "sl2.json": True,
+        "tangent2.json": True,
+    }
 
 
 def test_degree_zero_commutator_over_a_point_is_a_matrix_commutator():

@@ -497,6 +497,14 @@ def test_betti_refuses_a_candidate_operator_that_is_not_a_complex():
         betti(nja, nrep, "njl", 3)
 
 
+def test_les_verify_refuses_a_candidate_operator_that_is_not_a_complex():
+    # The same torsion: njo fails first, where exactness would be read off
+    # meaningless ranks.
+    nja = NijenhuisLieAlgebra(sl2(), Endomorphism.diagonal([1, 0, 0]))
+    with pytest.raises(ValueError, match="njo: not a complex: d_1 d_0"):
+        les_verify(nja, adjoint_nijenhuis(nja), 2)
+
+
 @pytest.mark.parametrize("which", ["ce", "njo", "njl", "les"])
 def test_complexes_leave_no_cyclic_garbage(which):
     # A reference cycle through the complexes would keep every cached

@@ -1,11 +1,12 @@
 """The trusted internal constructors against the validating public ones.
 
 Arithmetic on ``Poly``, the algebroid forms, ``Cochain`` and
-``SuspendedHom`` builds its results without re-checking them. Every such
-result must be exactly what the public constructor would have built from
-the same data: equal to its own re-validation, with no zero coefficient
-or entry left in, and with ``Fraction`` values only. The public
-constructors keep rejecting malformed data.
+``SuspendedHom``, and the action of a graded field on a scalar form, build
+their results without re-checking them. Every such result must be exactly
+what the public constructor would have built from the same data: equal to
+its own re-validation, with no zero coefficient or entry left in, and with
+``Fraction`` values only. The public constructors keep rejecting malformed
+data.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from njkit.algebroid import AlgebroidForm, FiberForm  # noqa: E402
+from njkit.algebroid import AlgebroidForm, FiberForm, GradedField, field_apply  # noqa: E402
 from njkit.braces import GradedSpace, SuspendedHom  # noqa: E402
 from njkit.cohomology import Cochain  # noqa: E402
+from njkit.forms import ScalarForm, de_rham_d  # noqa: E402
 from njkit.poly import Poly  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -109,6 +111,48 @@ def test_form_arithmetic_returns_validated_values(case):
     for r in (F.add(F.neg()), F.scale(c), F.wedge(F)):
         assert_clean_form(r)
     assert_clean_poly(F.evaluate([K.evaluate(sections)]))
+
+
+@st.composite
+def graded_fields(draw, base_dim: int, rank: int) -> GradedField:
+    degree = draw(st.integers(0, 2))
+    parts = []
+    for arity, bound in ((degree, base_dim), (degree + 1, rank)):
+        keys = [
+            (I, i) for I in combinations(range(1, rank + 1), arity) for i in range(1, bound + 1)
+        ]
+        chosen = draw(st.lists(st.sampled_from(keys), max_size=4, unique=True)) if keys else []
+        parts.append({k: draw(polys(base_dim)) for k in chosen})
+    return GradedField(base_dim, rank, degree, *parts)
+
+
+@st.composite
+def scalar_entries(draw, base_dim: int, rank: int) -> tuple[int, dict]:
+    degree = draw(st.integers(0, rank))
+    keys = list(combinations(range(1, rank + 1), degree))
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=3, unique=True))
+    return degree, {k: draw(polys(base_dim)) for k in chosen}
+
+
+@SETTINGS
+@given(st.data())
+def test_field_apply_returns_validated_forms_of_the_input_type(data):
+    base_dim, rank = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 3))
+    degree, entries = data.draw(scalar_entries(base_dim, rank))
+    X = data.draw(graded_fields(base_dim, rank))
+    r = field_apply(X, FiberForm(base_dim, rank, degree, entries))
+    assert type(r) is FiberForm
+    assert_clean_form(r)
+
+    # On the tangent algebroid a ScalarForm stays one.
+    degree, entries = data.draw(scalar_entries(rank, rank))
+    beta = ScalarForm(rank, degree, entries)
+    for r in (field_apply(data.draw(graded_fields(rank, rank)), beta), de_rham_d(beta)):
+        assert type(r) is ScalarForm
+        assert r == ScalarForm(r.n_vars, r.degree, dict(r.entries))
+        for poly in r.entries.values():
+            assert not poly.is_zero()
+            assert_clean_poly(poly)
 
 
 def test_cached_grouping_stays_with_its_form():

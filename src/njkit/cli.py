@@ -52,10 +52,9 @@ from .cohomology import betti, les_verify
 from .exact import Rational, format_rational, parse_rational
 from .forms import (
     VectorValuedForm,
-    check_homotopy,
-    fn_betti,
     fn_bracket,
     nijenhuis_torsion_form,
+    _poincare,
 )
 from .lie import (
     Endomorphism,
@@ -113,7 +112,9 @@ class RunConfig:
             raise InputError("format must be 'json' or 'text'")
         for name in ("max_degree", "max_poly_degree", "n", "n_max"):
             if getattr(self, name) < 1:
-                raise InputError(f"--{name.replace('_', '-')} must be positive")
+                # The one field not named like its flag: --max-poly-deg.
+                flag = "max-poly-deg" if name == "max_poly_degree" else name.replace("_", "-")
+                raise InputError(f"--{flag} must be positive")
         if self.command == "mc" and self.n_max < 2:
             # The bracket has arity 2: below that no equation is evaluated.
             raise InputError("--n-max must be at least 2 for mc (the bracket has arity 2)")
@@ -645,8 +646,7 @@ def _cmd_torsion(config: RunConfig) -> tuple[bool, dict]:
 
 def _cmd_poincare(config: RunConfig) -> tuple[bool, dict]:
     degrees = list(range(config.n + 1))
-    homotopy = check_homotopy(config.n, config.max_poly_degree, degrees)
-    tables = fn_betti(config.n, config.max_poly_degree, config.n)
+    homotopy, tables = _poincare(config.n, config.max_poly_degree, degrees, config.n)
     all_zero = all(b == 0 for table in tables.values() for b in table.betti)
     ok = homotopy.ok and all_zero
     return ok, {

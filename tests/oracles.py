@@ -8,8 +8,12 @@ assembles the same maps from nonzero entries only (``njkit.cohomology``);
 the tests compare the two entry for entry.
 
 Geometric side: the Frolicher-Nijenhuis bracket from the wedge /
-Lie-derivative definition (against the five-sum on frames in
-``njkit.algebroid``), the graded commutator of shifted-bundle fields from
+Lie-derivative definition and from the five-sum on general sections
+(against the five-sum on frame index words in ``njkit.algebroid``), the
+comparison map summed over every subset of slots that receives ``P``
+(against the layered sum of ``phi_map``), the Poincare homotopy identity
+checked form by form (against the matrix identity on the slices of
+``njkit.forms``), the graded commutator of shifted-bundle fields from
 the closed-form shuffle expansion of its coefficients (against the
 composed action on generators), the exterior derivative from its
 coordinate formula (against the odd field of the tangent algebroid), and
@@ -26,24 +30,35 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from njkit.algebroid import GradedField, _antisymmetrized
+from njkit.algebroid import (
+    AlgebroidForm,
+    GradedField,
+    PolyAlgebroid,
+    _antisymmetrized,
+    b_from_field,
+    section_bracket,
+    trivial_algebroid,
+)
 from njkit.braces import SuspendedHom, canonical_tuples
 from njkit.cohomology import Cochain, PairCochain, _complexes
 from njkit.exact import Permutation, SparseMatrix, enumerate_shuffles
 from njkit.forms import (
     ScalarForm,
     VectorValuedForm,
+    _diagonal_differential,
     de_rham_d,
     interior_product,
     lie_derivative,
+    poincare_h,
 )
 from njkit.lie import (
     Endomorphism,
     NijenhuisLieAlgebra,
     NijenhuisRepresentation,
     Representation,
+    ValidationReport,
     Vector,
     deformed_representation,
     is_zero_vector,
@@ -52,7 +67,7 @@ from njkit.lie import (
     vector,
     zero_vector,
 )
-from njkit.poly import Poly, _merge_indices
+from njkit.poly import Poly, _merge_indices, _monomials
 
 
 def evaluate_mixed(f: Cochain, args: Sequence) -> Vector:
@@ -240,6 +255,154 @@ def fn_bracket_decomposable(K: VectorValuedForm, L: VectorValuedForm) -> VectorV
             for key, poly in toward_X.entries.items():
                 result = result.add(VectorValuedForm(n, k + l, {(key, a): poly}))
     return result
+
+
+def fn_bracket_on_sections(
+    A: PolyAlgebroid,
+    K: AlgebroidForm,
+    L: AlgebroidForm,
+    sections: Sequence[AlgebroidForm],
+) -> AlgebroidForm:
+    """The Frolicher-Nijenhuis five-sum over the extended section bracket,
+    on arbitrary sections.
+
+    Every sum evaluates ``K`` and ``L`` afresh on its shuffled arguments.
+    The two sums that plug a bracket of arguments back into ``K`` or ``L``
+    vanish on commuting frames, but not on general sections.
+    """
+    for F in (K, L):
+        if F.base_dim != A.base_dim or F.rank != A.rank:
+            raise ValueError("form lives on a different algebroid")
+    k, l = K.form_degree, L.form_degree
+    args = tuple(sections)
+    if len(args) != k + l:
+        raise ValueError(f"expected {k + l} sections, got {len(args)}")
+    for E in args:
+        if E.base_dim != A.base_dim or E.rank != A.rank or E.form_degree != 0:
+            raise ValueError("expected a section of the given algebroid")
+    acc = K._with({}, 0)
+
+    for sigma in enumerate_shuffles((k, l)):
+        word = sigma.gather(args)
+        term = section_bracket(A, K.evaluate(word[:k]), L.evaluate(word[k:]))
+        acc = acc.add(term if sigma.sign() > 0 else term.neg())
+
+    if l >= 1:
+        for sigma in enumerate_shuffles((k, 1, l - 1)):
+            word = sigma.gather(args)
+            plugged = section_bracket(A, K.evaluate(word[:k]), word[k])
+            term = L.evaluate((plugged,) + word[k + 1 :])
+            acc = acc.sub(term if sigma.sign() > 0 else term.neg())
+
+    if k >= 1:
+        outer = -1 if (k * l) % 2 else 1
+        for sigma in enumerate_shuffles((l, 1, k - 1)):
+            word = sigma.gather(args)
+            plugged = section_bracket(A, L.evaluate(word[:l]), word[l])
+            term = K.evaluate((plugged,) + word[l + 1 :]).scale(outer)
+            acc = acc.add(term if sigma.sign() > 0 else term.neg())
+
+    if k >= 1 and l >= 1:
+        outer = 1 if k % 2 else -1
+        for sigma in enumerate_shuffles((2, k - 1, l - 1)):
+            word = sigma.gather(args)
+            inner = K.evaluate((section_bracket(A, word[0], word[1]),) + word[2 : k + 1])
+            term = L.evaluate((inner,) + word[k + 1 :]).scale(outer)
+            acc = acc.add(term if sigma.sign() > 0 else term.neg())
+
+        outer = -1 if ((k - 1) * l) % 2 else 1
+        for sigma in enumerate_shuffles((2, l - 1, k - 1)):
+            word = sigma.gather(args)
+            inner = L.evaluate((section_bracket(A, word[0], word[1]),) + word[2 : l + 1])
+            term = K.evaluate((inner,) + word[l + 1 :]).scale(outer)
+            acc = acc.add(term if sigma.sign() > 0 else term.neg())
+
+    return acc
+
+
+def fn_bracket_on_fields(
+    K: VectorValuedForm, L: VectorValuedForm, fields: Sequence[VectorValuedForm]
+) -> VectorValuedForm:
+    """The five-sum on arbitrary vector fields of R^n: the tangent
+    algebroid's case of :func:`fn_bracket_on_sections`."""
+    if K.n_vars != L.n_vars:
+        raise ValueError("operands live over different variable counts")
+    return fn_bracket_on_sections(trivial_algebroid(K.n_vars), K, L, fields)
+
+
+def _on_frames(A: PolyAlgebroid, degree: int, value_on) -> AlgebroidForm:
+    """The degree-``degree`` form whose value on each increasing tuple of
+    frame sections is ``value_on`` of that tuple."""
+    m, n = A.base_dim, A.rank
+    basis = [AlgebroidForm.basis_section(m, n, i) for i in range(1, n + 1)]
+    entries = {}
+    for T in combinations(range(1, n + 1), degree):
+        for q, poly in value_on(tuple(basis[t - 1] for t in T)).components().items():
+            entries[(T, q)] = poly
+    return AlgebroidForm(m, n, degree, entries)
+
+
+def fn_bracket_on_frames(A: PolyAlgebroid, K: AlgebroidForm, L: AlgebroidForm) -> AlgebroidForm:
+    """The bracket assembled from :func:`fn_bracket_on_sections` on frame sections."""
+    return _on_frames(
+        A, K.form_degree + L.form_degree, lambda secs: fn_bracket_on_sections(A, K, L, secs)
+    )
+
+
+def phi_subset_sum(
+    P: AlgebroidForm,
+    bee: Callable[[Sequence[AlgebroidForm]], AlgebroidForm],
+    args: Sequence[AlgebroidForm],
+) -> AlgebroidForm:
+    """``sum_k sum_{|S| = k} (-1)^(b-k) P^(b-k) bee(args with P on S)``: the
+    comparison map on ``b`` sections, every outer power applied on its own."""
+    b = len(args)
+    p_args = [P.evaluate((E,)) for E in args]
+    total = AlgebroidForm.zero(P.base_dim, P.rank, 0)
+    for k in range(b + 1):
+        outer_sign = -1 if (b - k) % 2 else 1
+        for subset in combinations(range(b), k):
+            plugged = [p_args[t] if t in subset else E for t, E in enumerate(args)]
+            value = bee(tuple(plugged))
+            for _ in range(b - k):
+                value = P.evaluate((value,))
+            total = total.add(value.scale(outer_sign))
+    return total
+
+
+def phi_on_frames(A: PolyAlgebroid, P: AlgebroidForm, X: GradedField) -> AlgebroidForm:
+    """The comparison map assembled from :func:`phi_subset_sum` on frame
+    sections, with the bracket of ``X``."""
+    bee = b_from_field(X)
+    return _on_frames(A, X.degree + 1, lambda secs: phi_subset_sum(P, bee, secs))
+
+
+def homotopy_sweep(
+    n: int,
+    max_poly_degree: int,
+    form_degrees: Sequence[int],
+    h: Callable[[VectorValuedForm, int], VectorValuedForm] = poincare_h,
+) -> ValidationReport:
+    """``d_fn h + h d_fn = id`` for the diagonal operator on R^n, one
+    monomial basis form at a time: both differentials taken afresh on each
+    form, and the report built as ``check_homotopy`` builds it."""
+    d = _diagonal_differential(n)
+    monos = [e for degree in range(max_poly_degree + 1) for e in _monomials(n, degree)]
+    failures: list[dict] = []
+    checked = 0
+    for j in form_degrees:
+        for I in combinations(range(1, n + 1), j):
+            for a in range(1, n + 1):
+                for exps in monos:
+                    K = VectorValuedForm(n, j, {(I, a): Poly(n, {exps: Fraction(1)})})
+                    # h is zero on degree 0, so only the other term acts there.
+                    left = d(h(K, n)) if j >= 1 else VectorValuedForm.zero(n, 0)
+                    checked += 1
+                    if left.add(h(d(K), n)) != K:
+                        failures.append(
+                            {"form_degree": j, "indices": list(I), "output": a, "exponents": list(exps)}
+                        )
+    return ValidationReport("poincare-homotopy", not failures, checked, failures)
 
 
 def _rn_insertion(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:

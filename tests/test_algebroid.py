@@ -35,7 +35,6 @@ from njkit.algebroid import (
     b_from_field,
     delta_njld,
     field_apply,
-    fn_bracket_on_sections,
     graded_commutator,
     homological_field_q,
     phi_map,
@@ -57,6 +56,7 @@ from oracles import (
     commutator_shuffle_expansion,
     de_rham_coordinates,
     fn_bracket_decomposable,
+    fn_bracket_on_sections,
 )
 
 

@@ -147,6 +147,11 @@ def test_mc_residual_exit_codes(capsys):
     assert report["mc"]["operator_residuals"]["2"] == 0
 
 
+def test_nonpositive_bound_names_the_flag_the_parser_defines(capsys):
+    assert main(["poincare", "--max-poly-deg", "0"]) == 3
+    assert capsys.readouterr().err == "error: --max-poly-deg must be positive\n"
+
+
 def test_mc_rejects_n_max_below_the_bracket_arity(capsys):
     # Truncating at arity 1 would drop the bracket and evaluate nothing.
     assert main(["mc", "--n-max", "1", _fix("bad-jacobi.json")]) == 3

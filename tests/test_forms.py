@@ -29,13 +29,12 @@ from njkit.forms import (
     diagonal_operator,
     fn_betti,
     fn_bracket,
-    fn_bracket_on_fields,
     interior_product,
     lie_derivative,
     nijenhuis_torsion_form,
     poincare_h,
 )
-from oracles import fn_bracket_decomposable, rn_bracket_forms
+from oracles import fn_bracket_decomposable, fn_bracket_on_fields, rn_bracket_forms
 
 
 def _rpoly(rng: random.Random, n: int, max_deg: int = 2, nterms: int = 2) -> Poly:

@@ -22,7 +22,12 @@ Conventions (fixed once, everything else derives from them)
 * The brace is computed from nonzero entries only. A term is nonzero only
   when each block is a key of its ``g_t`` and the single inputs and one
   component of each value make up a key of ``f``. So only the input words
-  merged from such keys are visited; every other word sums to zero.
+  merged from such keys are visited; every other word sums to zero. A
+  unary ``f`` with one argument is postcomposition and skips the words.
+* The twisted differential at ``alpha`` keeps the brace terms that read
+  only components of ``alpha`` in a table (:class:`_AlphaBraces`): one per
+  call of ``NjlLInfty.twisted_l1``, one per twisted complex. The generic
+  expansion through ``NjlLInfty.l`` is the oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -72,11 +77,26 @@ class GradedSpace:
         return [(d, i) for d, n in self.dims for i in range(n)]
 
 
-def _gv_add(acc: GradedVector, other: GradedVector, coeff: Fraction) -> None:
+def _gv_add(acc: GradedVector, other: GradedVector, coeff: int | Fraction) -> None:
+    """Add ``coeff * other`` into ``acc``; a coefficient of ``1`` or ``-1``
+    adds or subtracts without a product."""
     if not coeff:
         return
+    if coeff == 1 or coeff == -1:
+        negate = coeff == -1
+        for key, v in other.items():
+            old = acc.get(key)
+            if old is None:
+                acc[key] = -v if negate else v
+                continue
+            new = old - v if negate else old + v
+            if new:
+                acc[key] = new
+            else:
+                del acc[key]
+        return
     for key, v in other.items():
-        new = acc.get(key, Fraction(0)) + coeff * v
+        new = acc.get(key, 0) + coeff * v
         if new:
             acc[key] = new
         else:
@@ -229,20 +249,13 @@ class SuspendedHom:
         return tuple(seq), sign
 
     def evaluate(self, args: Sequence[BasisElement]) -> GradedVector:
-        args = tuple(args)
-        if len(args) != self.arity:
-            raise ValueError("wrong number of arguments")
-        canon = self._canonicalize(args)
-        if canon is None:
-            return {}
-        key, sign = canon
-        base = self.values.get(key)
-        if not base:
-            return {}
-        return {k: sign * v for k, v in base.items()}
+        """Evaluate on basis elements: :meth:`evaluate_mixed` with every
+        slot a basis element."""
+        return self.evaluate_mixed(tuple(args))
 
     def evaluate_mixed(self, slots: Sequence) -> GradedVector:
-        """Evaluate on a mix of basis elements and graded vectors."""
+        """Evaluate on a mix of basis elements and graded vectors, through
+        :func:`_add_mixed` like every evaluation inside the brace."""
         if len(slots) != self.arity:
             raise ValueError("wrong number of arguments")
         out: GradedVector = {}
@@ -254,7 +267,7 @@ class SuspendedHom:
         values = {k: dict(v) for k, v in self.values.items()}
         for key, gv in other.values.items():
             acc = values.setdefault(key, {})
-            _gv_add(acc, gv, Fraction(1))
+            _gv_add(acc, gv, 1)
         return SuspendedHom._trusted(
             self.space, self.arity, self.total_degree, self.sv_valued, values
         )
@@ -467,6 +480,10 @@ def shuffle_brace(sf: SuspendedHom, args: Sequence[SuspendedHom]) -> SuspendedHo
     which it vanishes. Each routing's values go straight into the word's
     accumulator, with its sign folded into the coefficient.
 
+    A unary ``sf`` (one input, one argument) is postcomposition,
+    ``sf{g}(x) = sum_e g(x)[e] sf(e)`` with sign +1, and is computed as
+    such, without building words or routings.
+
     Arguments must be suspended-valued; the result keeps ``sf``'s output
     flavor. ``sf{}`` is ``sf`` itself; more arguments than ``sf`` has inputs
     is an arity overflow.
@@ -487,6 +504,19 @@ def shuffle_brace(sf: SuspendedHom, args: Sequence[SuspendedHom]) -> SuspendedHo
     result_values: dict[tuple[BasisElement, ...], GradedVector] = {}
     if sf.is_zero() or any(g.is_zero() for g in gs):
         return SuspendedHom.zero(space, out_arity, out_degree, sf.sv_valued)
+    if m == 1:
+        # Postcomposition: the one routing hands the whole word to g, with
+        # sign +1.
+        g = gs[0]
+        for x in sorted(g.values):
+            acc: GradedVector = {}
+            for e, v in g.values[x].items():
+                image = sf.values.get((e,))
+                if image:
+                    _gv_add(acc, image, v)
+            if acc:
+                result_values[x] = acc
+        return SuspendedHom._trusted(space, out_arity, out_degree, sf.sv_valued, result_values)
     read = {e for key in sf.values for e in key}
     for x in _reachable_words(sf, gs, read):
         acc: GradedVector = {}
@@ -640,28 +670,32 @@ class NjlLInfty:
         return -1 if front else 1, "njo", sh, gs
 
     def _evaluate(
-        self, kind: str, head: SuspendedHom, rest: tuple[SuspendedHom, ...]
+        self, kind: str, head: SuspendedHom, rest: tuple[SuspendedHom, ...], table: "_AlphaBraces"
     ) -> CNjLElement:
         if kind == "lie":
             return CNjLElement(lie=[rn_bracket(head, rest[0])])
-        return self._l_lie_first(head, list(rest))
+        return self._l_lie_first(head, list(rest), table)
 
     def l_tagged(self, tagged: Sequence[tuple[str, SuspendedHom]]) -> CNjLElement:
         term = self._term(tagged)
         if term is None:
             return CNjLElement()
         sign, kind, head, rest = term
-        out = self._evaluate(kind, head, rest)
+        out = self._evaluate(kind, head, rest, _AlphaBraces(CNjLElement()))
         return out.scale(-1) if sign < 0 else out
 
-    def _l_lie_first(self, sh: SuspendedHom, gs: list[SuspendedHom]) -> CNjLElement:
+    def _l_lie_first(
+        self, sh: SuspendedHom, gs: list[SuspendedHom], table: "_AlphaBraces"
+    ) -> CNjLElement:
         n = len(gs)
         degrees = [g.total_degree for g in gs]
         out_arity = sum(g.arity for g in gs)
         out_degree = sh.total_degree - 1 + sum(d + 1 for d in degrees)
         values: dict[tuple[BasisElement, ...], GradedVector] = {}
         # Permutations that put the same objects in the same places give the
-        # same nested brace: add up their signs and build each one once.
+        # same nested brace: add up their signs and build each one once. An
+        # order names each object by its first position in gs.
+        first = [next(k for k in range(t + 1) if gs[k] is g) for t, g in enumerate(gs)]
         signs: dict[tuple[int, tuple[int, ...]], int] = {}
         for images in permutations(range(1, n + 1)):
             chi = chi_sign(Permutation(images), degrees)
@@ -669,23 +703,31 @@ class NjlLInfty:
             for p in range(1, n):
                 for j in range(p):
                     eta += degrees[images[j] - 1]
-            order = tuple(id(gs[i - 1]) for i in images)
+            order = tuple(first[i - 1] for i in images)
             for cut in range(n + 1):
                 xi = sh.total_degree * sum(
                     degrees[images[i] - 1] + 1 for i in range(cut)
                 ) + cut
                 sign = chi * (-1 if (eta + xi) % 2 else 1)
                 signs[(cut, order)] = signs.get((cut, order), 0) + sign
-        suspended = {id(g): g.suspend_output() for g in gs}
+        suspended = {k: gs[k].suspend_output() for k in set(first)}
+        labels = {k: table.label(gs[k]) for k in set(first)}
+        head_label = table.label(sh)
         for (cut, order), sign in signs.items():
             if not sign:
                 continue
-            sgs = [suspended[i] for i in order]
-            inner = shuffle_brace(sh, sgs[cut:])
+            # The chain sgs[0]{...sgs[cut-1]{sh{sgs[cut:]}}}, built from the
+            # inside out. A step whose inputs so far are all components of
+            # alpha is keyed by their labels and taken from the table.
+            tail = tuple(labels[k] for k in order[cut:])
+            key = None if head_label is None or None in tail else ("in", head_label, tail)
+            inner = table.brace(key, sh, [suspended[k] for k in order[cut:]])
             for j in range(cut - 1, -1, -1):
-                inner = shuffle_brace(sgs[j], [inner])
+                label = labels[order[j]]
+                key = None if key is None or label is None else ("on", label, key)
+                inner = table.brace(key, suspended[order[j]], [inner])
             for args, gv in inner.values.items():
-                _gv_add(values.setdefault(args, {}), gv, Fraction(sign))
+                _gv_add(values.setdefault(args, {}), gv, sign)
         return CNjLElement(
             njo=[SuspendedHom._trusted(self.space, out_arity, out_degree, False, values)]
         )
@@ -695,6 +737,9 @@ class NjlLInfty:
 
         Rearrangements that hand the same objects to one component are
         evaluated once, with their signs added up."""
+        return self._l(elements, _AlphaBraces(CNjLElement()))
+
+    def _l(self, elements: Sequence[CNjLElement], table: "_AlphaBraces") -> CNjLElement:
         signs: dict[tuple, list] = {}
         for combo in product(*[e.tagged() for e in elements]):
             term = self._term(combo)
@@ -709,7 +754,7 @@ class NjlLInfty:
         out = CNjLElement()
         for sign, kind, head, rest in signs.values():
             if sign:
-                out = out.add(self._evaluate(kind, head, rest).scale(sign))
+                out = out.add(self._evaluate(kind, head, rest, table).scale(sign))
         return out
 
     def twisted_l1(
@@ -718,16 +763,60 @@ class NjlLInfty:
         """Differential obtained by twisting at ``alpha``: the sum over
         ``i >= 1`` of ``(-1)^(i(i+1)/2) / i!`` times the component with ``i``
         copies of ``alpha`` in front of ``x`` (the untwisted unary component
-        is zero here)."""
+        is zero here).
+
+        Brace subterms that read only components of ``alpha`` (such as
+        ``nu{s tau}`` and ``s tau{nu}``) are computed once per call in an
+        :class:`_AlphaBraces` table; ``_twisted_complex`` keeps one table
+        for all its columns. ``tests/oracles.py`` keeps the expansion through
+        the public :meth:`l`, one ``l([alpha] * i + [x])`` per ``i``.
+        """
+        return self._twisted_l1(_AlphaBraces(alpha), x, i_cap)
+
+    def _twisted_l1(
+        self, table: "_AlphaBraces", x: CNjLElement, i_cap: int | None
+    ) -> CNjLElement:
+        alpha = table.alpha
         if i_cap is None:
             arities = [h.arity for h in alpha.lie + x.lie]
             i_cap = max(arities, default=1) + 1
         out = CNjLElement()
         for i in range(1, i_cap + 1):
             coeff = Fraction((-1) ** ((i * (i + 1) // 2) % 2), factorial(i))
-            term = self.l([alpha] * i + [x])
+            term = self._l([alpha] * i + [x], table)
             out = out.add(term.scale(coeff))
         return out
+
+
+class _AlphaBraces:
+    """The brace subterms of the twisted differential that read only
+    components of a fixed ``alpha``, each computed on first use and kept as
+    long as the table.
+
+    A subterm is keyed by the positions of its inputs in ``alpha.tagged()``
+    (its labels), never by object identity. A step with any other input
+    (key ``None``) is computed afresh each time.
+    """
+
+    def __init__(self, alpha: CNjLElement) -> None:
+        self.alpha = alpha
+        self._parts = [h for _, h in alpha.tagged()]
+        self._done: dict[tuple, SuspendedHom] = {}
+
+    def label(self, h: SuspendedHom) -> int | None:
+        for k, part in enumerate(self._parts):
+            if h is part:
+                return k
+        return None
+
+    def brace(
+        self, key: tuple | None, sf: SuspendedHom, args: Sequence[SuspendedHom]
+    ) -> SuspendedHom:
+        if key is None:
+            return shuffle_brace(sf, args)
+        if key not in self._done:
+            self._done[key] = shuffle_brace(sf, args)
+        return self._done[key]
 
 
 def njl_linfty(dim: int) -> NjlLInfty:
@@ -959,7 +1048,9 @@ def _twisted_complex(algebra: LieAlgebra, p: Endomorphism) -> LinearComplex:
     space = GradedSpace.suspended_ungraded(algebra.dim)
     structure = NjlLInfty(space)
     cand = mc_candidate(algebra, p)
-    alpha = CNjLElement(lie=[cand.b[2]], njo=[cand.r[1]])
+    # One table of the brace terms that read only alpha, for every column;
+    # it lives in this closure, as long as the complex.
+    table = _AlphaBraces(CNjLElement(lie=[cand.b[2]], njo=[cand.r[1]]))
 
     def keys(n: int) -> list[tuple]:
         out = []
@@ -976,7 +1067,7 @@ def _twisted_complex(algebra: LieAlgebra, p: Endomorphism) -> LinearComplex:
             e = CNjLElement(lie=[SuspendedHom(space, n, 1 - n, True, value)])
         else:
             e = CNjLElement(njo=[SuspendedHom(space, n - 1, 1 - n, False, value)])
-        lie, njo = structure.twisted_l1(alpha, e).collect()
+        lie, njo = structure._twisted_l1(table, e, None).collect()
         out: dict[tuple, Fraction] = {}
         for part_tag, arity, part in (("lie", n + 1, lie), ("njo", n, njo)):
             for a, h in part.items():
@@ -1003,5 +1094,12 @@ def njl_twisted_betti(
     constants), which is acyclic, so the Betti numbers agree with the cone's
     in every degree. Exact ranks throughout. Raises ``ValueError`` if the
     twisted differential of a candidate operator does not square to zero.
+
+    Each column is one twisted differential. The brace terms that read only
+    ``alpha`` (``nu{s tau}`` and ``s tau{nu}``) are computed once for the
+    whole complex, in a table that lives as long as the complex; the outer
+    ``s tau{...}`` steps are postcompositions. ``tests/oracles.py``
+    (``twisted_column_by_l``) rebuilds every column through the generic
+    ``NjlLInfty.l``.
     """
     return _twisted_complex(algebra, p).betti(max_degree)

@@ -23,13 +23,17 @@ forms).
 
 Brace side: the multi-argument shuffle brace summed straight from its
 definition, over ordered disjoint input subsets with a Koszul sign found by
-bubbling, against the pruned insertion in ``njkit.braces``.
+bubbling, against the pruned insertion in ``njkit.braces``; and each column
+of the twisted differential expanded through the generic ``NjlLInfty.l``,
+one ``l([alpha] * i + [x])`` per ``i``, against ``_twisted_complex``, which
+computes the brace terms that read only ``alpha`` once per complex.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 from typing import Callable, Iterator, Sequence
 
 from njkit.algebroid import (
@@ -41,7 +45,7 @@ from njkit.algebroid import (
     section_bracket,
     trivial_algebroid,
 )
-from njkit.braces import SuspendedHom, canonical_tuples
+from njkit.braces import CNjLElement, NjlLInfty, SuspendedHom, canonical_tuples
 from njkit.cohomology import Cochain, PairCochain, _complexes
 from njkit.exact import Permutation, SparseMatrix, enumerate_shuffles
 from njkit.forms import (
@@ -617,3 +621,32 @@ def brace_subset_sum(f: SuspendedHom, gs: Sequence[SuspendedHom]) -> SuspendedHo
             values[x] = acc
     degree = f.total_degree + sum(g.total_degree for g in gs)
     return SuspendedHom(f.space, arity, degree, f.sv_valued, values)
+
+
+def twisted_column_by_l(
+    structure: NjlLInfty, alpha: CNjLElement, n: int, key: tuple
+) -> dict[tuple, Fraction]:
+    """The column of ``_twisted_complex`` at the degree-``n`` basis key
+    ``(tag, args, b)``: the twisted differential of that basis element as
+    ``sum_i (-1)^(i(i+1)/2) / i! * l([alpha] * i + [x])``, with every brace
+    term computed afresh, keyed ``(tag, args, b)`` in degree ``n + 1``."""
+    tag, tup, el = key
+    space = structure.space
+    value = {tup: {el: Fraction(1)}}
+    if tag == "lie":
+        x = CNjLElement(lie=[SuspendedHom(space, n, 1 - n, True, value)])
+    else:
+        x = CNjLElement(njo=[SuspendedHom(space, n - 1, 1 - n, False, value)])
+    i_cap = max(h.arity for h in alpha.lie + x.lie) + 1
+    total = CNjLElement()
+    for i in range(1, i_cap + 1):
+        coeff = Fraction((-1) ** ((i * (i + 1) // 2) % 2), factorial(i))
+        total = total.add(structure.l([alpha] * i + [x]).scale(coeff))
+    lie, njo = total.collect()
+    out: dict[tuple, Fraction] = {}
+    for part_tag, part in (("lie", lie), ("njo", njo)):
+        for h in part.values():
+            for args, gv in h.values.items():
+                for b, v in gv.items():
+                    out[(part_tag, args, b)] = v
+    return out

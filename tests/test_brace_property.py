@@ -5,7 +5,8 @@ its arguments can reach. Every other word must sum to zero, so the brace
 must equal ``brace_subset_sum``, which sums over every canonical word, on
 any input: sparse maps on mixed-parity spaces, with arguments whose values
 have components the outer map never reads, with and without single inputs
-left over. The result's keys must come out in lexicographic order.
+left over. The result's keys must come out in lexicographic order. A unary
+outer map takes the postcomposition route, checked on its own below.
 """
 
 from __future__ import annotations
@@ -98,4 +99,26 @@ def test_brace_visits_every_word_with_a_nonzero_sum(case):
     f, gs = case
     braced = shuffle_brace(f, gs)
     assert braced == brace_subset_sum(f, gs)
+    assert list(braced.values) == sorted(braced.values)
+
+
+@st.composite
+def unary_cases(draw):
+    space = draw(st.sampled_from(SPACES))
+    f = draw(sparse_homs(space, 1, draw(st.booleans())))
+    # The argument has a value along an element f reads, and maybe along
+    # one it does not.
+    ((target,),) = [draw(st.sampled_from(sorted(f.values)))]
+    read = {key[0] for key in f.values}
+    unread = [e for e in space.basis() if e not in read]
+    g = draw(sparse_homs(space, draw(st.integers(1, 3)), True, target=target, unread=unread))
+    return f, g
+
+
+@SETTINGS
+@given(unary_cases())
+def test_unary_brace_is_postcomposition(case):
+    f, g = case
+    braced = shuffle_brace(f, [g])
+    assert braced == brace_subset_sum(f, [g])
     assert list(braced.values) == sorted(braced.values)

@@ -866,12 +866,24 @@ def phi_map(A: PolyAlgebroid, P: AlgebroidForm, X: GradedField) -> AlgebroidForm
     The evaluation is function-linear in every slot even though the
     extracted bracket is not; assembly on frame tuples therefore determines
     the form. Each frame evaluation re-asserts linearity by probing the
-    first slot with a function multiple and raising if the probe ever
-    disagreed. ``P`` on each frame section and the field's bracket are
-    built once per call, and the outer powers of ``P`` are summed by
-    Horner's rule (:func:`_phi_on_sections`); the test suite keeps the sum
-    with every subset and power applied on its own as an oracle
-    (``tests/oracles.py``) and holds the two in exact agreement.
+    first slot with the multiple ``x_1 ... x_m`` and raising if the probe
+    ever disagreed. A first-order defect ``sum_alpha a_alpha d/dx_alpha``
+    changes the probe by ``sum_alpha a_alpha x_1 ... x_m / x_alpha``, so
+    the probe sees every defect along a single base variable and every
+    defect with constant coefficients; it misses only coefficients that
+    cancel against each other, such as ``x_1 d/dx_1 - x_2 d/dx_2``. ``P``
+    on each frame section and the field's bracket are built once per call,
+    and the outer powers of ``P`` are summed by Horner's rule
+    (:func:`_phi_on_sections`); the test suite keeps the sum with every
+    subset and power applied on its own as an oracle (``tests/oracles.py``)
+    and holds the two in exact agreement.
+
+    The map is also linear over base functions in the field: the bracket
+    extracted from ``gX`` is ``g`` times that of ``X``, because the fiber
+    part and the base part's action are linear in the field's
+    coefficients, and ``P`` is tensorial. So ``Phi(gX) = g Phi(X)``, and
+    :func:`validate_phi_chain_map` assembles this map once per constant
+    slot field and extends by those coefficients (:func:`_phi_by_slots`).
     """
     _check_operator(A, P)
     _check_field(A, X)
@@ -879,9 +891,7 @@ def phi_map(A: PolyAlgebroid, P: AlgebroidForm, X: GradedField) -> AlgebroidForm
     m, n = A.base_dim, A.rank
     basis = [AlgebroidForm.basis_section(m, n, i) for i in range(1, n + 1)]
     p_basis = [P.evaluate((E,)) for E in basis]
-    probe = None
-    if m >= 1:
-        probe = Poly.const(m, 1).add(Poly.variable(m, 1))
+    probe = Poly(m, {(1,) * m: 1}) if m else None
     bee = b_from_field(X)
     entries: dict[tuple[tuple[int, ...], int], Poly] = {}
     for T in combinations(range(1, n + 1), b):
@@ -1112,10 +1122,62 @@ def validate_phi_chain_map(
     of the comparison of the field differential with the operator-twisted
     differential of the comparison. The seed goes into the report
     description for reproducibility.
+
+    Since ``Phi(gX) = g Phi(X)`` (:func:`phi_map`), each call assembles
+    ``phi_map`` once per constant slot field it meets, degrees 0..4, into a
+    table local to the call, and takes every other value, ``Phi(d_Q X)``
+    included, as the sum of the field's coefficients times the table's
+    entries. The test suite keeps the sweep with ``phi_map`` on every field
+    as an oracle (``tests/oracles.py``) and holds the two reports equal.
     """
     _require_nijenhuis(A, P)
+    return _validate_phi_chain_map(A, P, samples, seed=seed, max_poly_degree=max_poly_degree)
+
+
+def _phi_by_slots(
+    A: PolyAlgebroid, P: AlgebroidForm
+) -> Callable[[GradedField], AlgebroidForm]:
+    """:func:`phi_map` extended from its values on the constant slot fields.
+
+    ``Phi(X)`` is the sum over the entries of ``X`` of the coefficient times
+    ``Phi`` of the field with that one entry equal to 1. Those values are
+    assembled on first use and kept in the returned evaluator's table, which
+    lives as long as the evaluator.
+    """
+    m, n = A.base_dim, A.rank
+    one = Poly.const(m, 1)
+    # Keyed by part (0 base, 1 fiber) and slot; the slot's length fixes the degree.
+    table: dict[tuple[int, tuple[tuple[int, ...], int]], AlgebroidForm] = {}
+
+    def phi(X: GradedField) -> AlgebroidForm:
+        total = AlgebroidForm.zero(m, n, X.degree + 1)
+        for part, coefficients in enumerate((X.a_part, X.d_part)):
+            for slot, poly in coefficients.items():
+                key = (part, slot)
+                unit = table.get(key)
+                if unit is None:
+                    parts: list[dict] = [{}, {}]
+                    parts[part] = {slot: one}
+                    unit = table[key] = phi_map(A, P, GradedField(m, n, X.degree, *parts))
+                total = total.add(unit.poly_scale(poly))
+        return total
+
+    return phi
+
+
+def _validate_phi_chain_map(
+    A: PolyAlgebroid,
+    P: AlgebroidForm,
+    samples: int = 1,
+    *,
+    seed: int = 0,
+    max_poly_degree: int = 1,
+) -> ValidationReport:
+    """:func:`validate_phi_chain_map` without the algebroid axiom and
+    torsion checks, for callers that have run them already."""
     m, n = A.base_dim, A.rank
     q_field = homological_field_q(A)
+    phi = _phi_by_slots(A, P)
     rng = random.Random(seed)
     # Constants first, then by degree: the seeded samples and the failure
     # labels depend on this order.
@@ -1127,8 +1189,8 @@ def validate_phi_chain_map(
         nonlocal checked
         if X.is_zero():
             return
-        left = phi_map(A, P, _d_q(q_field, X))
-        right = algebroid_fn_bracket(A, P, phi_map(A, P, X))
+        left = phi(_d_q(q_field, X))
+        right = algebroid_fn_bracket(A, P, phi(X))
         checked += 1
         if left != right:
             failures.append({"identity": "chain-map", "field": label})

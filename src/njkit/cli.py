@@ -44,8 +44,8 @@ from .algebroid import (
     algebroid_torsion,
     algebroid_torsion_coefficients,
     validate_algebroid,
-    validate_phi_chain_map,
     _delta_njld,
+    _validate_phi_chain_map,
 )
 from .braces import mc_candidate, mc_residual
 from .cohomology import betti, les_verify
@@ -714,7 +714,7 @@ def _cmd_algebroid(config: RunConfig) -> tuple[bool, dict]:
         }
 
     if config.action == "phi":
-        chain = validate_phi_chain_map(A, operator, seed=config.seed)
+        chain = _validate_phi_chain_map(A, operator, seed=config.seed)
         return chain.ok, {
             "verdict": "valid" if chain.ok else "invalid",
             "reports": [axioms.to_dict(), chain.to_dict()],

@@ -11,10 +11,12 @@ Geometric side: the Frolicher-Nijenhuis bracket from the wedge /
 Lie-derivative definition and from the five-sum on general sections
 (against the five-sum on frame index words in ``njkit.algebroid``), the
 comparison map summed over every subset of slots that receives ``P``
-(against the layered sum of ``phi_map``), the Poincare homotopy identity
-checked form by form (against the matrix identity on the slices of
-``njkit.forms``), the graded commutator of shifted-bundle fields from
-the closed-form shuffle expansion of its coefficients (against the
+(against the layered sum of ``phi_map``), the chain-map sweep with
+``phi_map`` run on every field (against its extension from one ``phi_map``
+per constant slot field in ``validate_phi_chain_map``), the Poincare
+homotopy identity checked form by form (against the matrix identity on the
+slices of ``njkit.forms``), the graded commutator of shifted-bundle fields
+from the closed-form shuffle expansion of its coefficients (against the
 composed action on generators), the exterior derivative from its
 coordinate formula (against the odd field of the tangent algebroid), and
 the Richardson-Nijenhuis bracket of vector-valued forms
@@ -31,17 +33,22 @@ computes the brace terms that read only ``alpha`` once per complex.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
 from typing import Callable, Iterator, Sequence
 
+import njkit.algebroid
 from njkit.algebroid import (
     AlgebroidForm,
     GradedField,
     PolyAlgebroid,
     _antisymmetrized,
+    algebroid_fn_bracket,
     b_from_field,
+    homological_field_q,
+    phi_map,
     section_bracket,
     trivial_algebroid,
 )
@@ -379,6 +386,65 @@ def phi_on_frames(A: PolyAlgebroid, P: AlgebroidForm, X: GradedField) -> Algebro
     sections, with the bracket of ``X``."""
     bee = b_from_field(X)
     return _on_frames(A, X.degree + 1, lambda secs: phi_subset_sum(P, bee, secs))
+
+
+def phi_chain_map_sweep(
+    A: PolyAlgebroid,
+    P: AlgebroidForm,
+    samples: int = 1,
+    *,
+    seed: int = 0,
+    max_poly_degree: int = 1,
+) -> ValidationReport:
+    """The chain-map sweep of ``validate_phi_chain_map`` with ``phi_map``
+    run on every field and on its ``d_Q`` image, against the library's
+    extension from one ``phi_map`` per constant slot field. The field
+    differential is looked up on the module at call time, so a test that
+    replaces it changes both routes."""
+    m, n = A.base_dim, A.rank
+    q_field = homological_field_q(A)
+    rng = random.Random(seed)
+    monos = [Poly(m, {e: 1}) for d in range(max_poly_degree + 1) for e in _monomials(m, d)]
+    failures: list[dict] = []
+    checked = 0
+
+    def check(X: GradedField, label: str) -> None:
+        nonlocal checked
+        if X.is_zero():
+            return
+        left = phi_map(A, P, njkit.algebroid._d_q(q_field, X))
+        right = algebroid_fn_bracket(A, P, phi_map(A, P, X))
+        checked += 1
+        if left != right:
+            failures.append({"identity": "chain-map", "field": label})
+
+    def drawn() -> Poly:
+        poly = Poly.zero(m)
+        for mono in monos:
+            poly = poly.add(mono.scale(Fraction(rng.randint(-2, 2), rng.randint(1, 2))))
+        return poly
+
+    for d in range(0, 4):
+        slots = [
+            [(I, i) for I in combinations(range(1, n + 1), arity) for i in range(1, bound + 1)]
+            for arity, bound in ((d, m), (d + 1, n))
+        ]
+        for part, (kind, part_slots) in enumerate(zip("ad", slots)):
+            for slot in part_slots:
+                for mono in monos:
+                    parts: list[dict] = [{}, {}]
+                    parts[part] = {slot: mono}
+                    check(GradedField(m, n, d, *parts), f"{kind}{slot}*{mono.format()}")
+        for s in range(samples):
+            parts = [{slot: drawn() for slot in part_slots} for part_slots in slots]
+            check(GradedField(m, n, d, *parts), f"random(degree={d}, sample={s})")
+
+    return ValidationReport(
+        f"phi chain map (seed={seed}, samples={samples})",
+        not failures,
+        checked,
+        failures,
+    )
 
 
 def homotopy_sweep(

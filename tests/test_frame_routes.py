@@ -4,18 +4,23 @@ bracket and the Poincare homotopy check, against their oracles.
 ``phi_map`` sums the outer powers of P by Horner's rule and
 ``algebroid_fn_bracket`` runs the five-sum on frame index words; the oracles
 in ``oracles.py`` apply every subset's power on its own and evaluate the
-five-sum on sections. ``check_homotopy`` is a matrix identity on the
-polynomial slices; its oracle takes both differentials form by form. Each
-pair must agree entry for entry, including on zero forms and on inputs the
-frame routes skip terms for.
+five-sum on sections. ``validate_phi_chain_map`` extends one ``phi_map``
+per constant slot field by the field's coefficients; its oracle runs
+``phi_map`` on every field of the sweep. ``check_homotopy`` is a matrix
+identity on the polynomial slices; its oracle takes both differentials
+form by form. Each pair must agree entry for entry, including on zero
+forms and on inputs the frame routes skip terms for.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -26,18 +31,22 @@ from njkit.algebroid import (
     AlgebroidForm,
     GradedField,
     PolyAlgebroid,
+    _phi_by_slots,
+    _validate_phi_chain_map,
     algebroid_fn_bracket,
     algebroid_over_point,
     b_from_field,
+    graded_commutator,
     homological_field_q,
     phi_map,
     trivial_algebroid,
+    validate_phi_chain_map,
 )
 from njkit.cli import parse_algebroid_file
 from njkit.forms import VectorValuedForm, check_homotopy, poincare_h
 from njkit.lie import LieAlgebra, vector
 from njkit.poly import Poly
-from oracles import fn_bracket_on_frames, homotopy_sweep, phi_on_frames
+from oracles import fn_bracket_on_frames, homotopy_sweep, phi_chain_map_sweep, phi_on_frames
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -177,6 +186,93 @@ def test_phi_probe_raises_on_a_bracket_that_is_not_function_linear(monkeypatch):
     monkeypatch.setattr(njkit.algebroid, "b_from_field", misrouted)
     with pytest.raises(RuntimeError, match="function-linearity probe"):
         phi_map(A, P, X)
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_phi_probe_sees_every_base_variable(monkeypatch, alpha):
+    # On the tangent plane a bracket that moves the first slot's derivative
+    # along x_alpha onto E_2 is caught only by a probe that depends on
+    # x_alpha; phi_map's probe depends on every base variable.
+    A, P = STRUCTURES["tangent2"]
+    real = b_from_field
+
+    def misrouted(field: GradedField):
+        bracket = real(field)
+
+        def evaluate(sections):
+            value = bracket(sections)
+            first = sections[0].components().get(1)
+            if first is None:
+                return value
+            return value.add(AlgebroidForm.section(2, 2, {2: first.partial(alpha)}))
+
+        return evaluate
+
+    X = GradedField(2, 2, 0, {}, {((1,), 1): Poly.const(2, 1)})
+    monkeypatch.setattr(njkit.algebroid, "b_from_field", misrouted)
+    for route in (lambda: phi_map(A, P, X), lambda: validate_phi_chain_map(A, P)):
+        with pytest.raises(RuntimeError, match="function-linearity probe"):
+            route()
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_phi_by_slots_matches_phi_map(name):
+    A, P = STRUCTURES[name]
+    rng = random.Random(f"slots-{name}")
+    phi = _phi_by_slots(A, P)
+    fields = [homological_field_q(A)]
+    for degree in range(4):
+        fields.append(GradedField.zero(A.base_dim, A.rank, degree))
+        fields += [_rfield(rng, A, degree) for _ in range(3)]
+    fields += [graded_commutator(homological_field_q(A), X).neg() for X in fields[1:]]
+    for X in fields:
+        assert phi(X) == phi_map(A, P, X)
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_phi_chain_map_report_matches_the_per_field_sweep(name):
+    # Two of the structures have torsion, so their reports list failures.
+    A, P = STRUCTURES[name]
+    for samples, seed in ((1, 0), (2, 11)):
+        expected = phi_chain_map_sweep(A, P, samples, seed=seed)
+        assert _validate_phi_chain_map(A, P, samples, seed=seed) == expected
+        if expected.ok:
+            assert validate_phi_chain_map(A, P, samples, seed=seed) == expected
+
+
+@pytest.mark.parametrize("name", ["tangent2", "R3-diag"])
+def test_phi_chain_map_report_matches_the_sweep_with_the_plus_differential(monkeypatch, name):
+    A, P = STRUCTURES[name]
+    monkeypatch.setattr(njkit.algebroid, "_d_q", lambda q, X: graded_commutator(q, X))
+    expected = phi_chain_map_sweep(A, P, seed=3)
+    assert not expected.ok and expected.failures
+    assert validate_phi_chain_map(A, P, seed=3) == expected
+
+
+def test_phi_chain_map_assembles_phi_once_per_slot_field(monkeypatch):
+    m = n = 3
+    A = trivial_algebroid(3)
+    P = _diagonal(3, ["x1", "x2", "x3"])
+    slot_fields = sum(comb(n, d) * m + comb(n, d + 1) * n for d in range(5))
+    assert slot_fields == 45
+    real = phi_map
+    values: list[weakref.ref] = []
+
+    def counted(*args):
+        value = real(*args)
+        values.append(weakref.ref(value))
+        return value
+
+    monkeypatch.setattr(njkit.algebroid, "phi_map", counted)
+    gc.disable()
+    try:
+        report = validate_phi_chain_map(A, P)
+        # No table outlives the call, without help from the cyclic collector.
+        assert all(ref() is None for ref in values)
+    finally:
+        gc.enable()
+    assert report.ok and report.checked == 184
+    assert 0 < len(values) <= slot_fields
 
 
 @pytest.mark.parametrize("n, max_poly_degree", [(2, 3), (3, 1)])

@@ -64,17 +64,54 @@ def _merged(left: Mapping, right: Mapping) -> dict:
 
 
 class _Linear:
-    """The vector-space operations shared by the form types.
+    """The vector-space operations shared by the form types and the graded fields.
 
+    ``_check_shape`` and ``_checked`` hold the public constructors' checks
+    of the shape and of keyed tables, and ``_check_compatible`` the operand
+    check of a sum.
     ``_with(entries, degree)`` builds a form of the same type on the same
     frame, so the tangent views in :mod:`njkit.forms` keep their own type
     through sums, scalings and evaluations. It checks nothing: it is only
     for results of internal operations, whose keys are in range for the
     frame and whose coefficients live over its base. Zero entries are
-    dropped.
+    dropped. :class:`GradedField` keeps two tables; it overrides ``_with``
+    with a two-table builder of the same kind and the operations built on
+    it, and shares the rest.
     """
 
     _DEGREE: str  # the name of the degree field
+
+    def _check_shape(self) -> None:
+        if self.base_dim < 0:
+            raise ValueError("base dimension must be >= 0")
+        if self.rank < 1:
+            raise ValueError("rank must be >= 1")
+        if getattr(self, self._DEGREE) < 0:
+            raise ValueError(f"{self._DEGREE.replace('_', ' ')} must be >= 0")
+
+    def _check_compatible(self, other) -> None:
+        if (
+            self.base_dim != other.base_dim
+            or self.rank != other.rank
+            or getattr(self, self._DEGREE) != getattr(other, self._DEGREE)
+        ):
+            raise ValueError(f"{type(self).__name__} shape mismatch")
+
+    def _checked(self, table: Mapping, arity: int, bound: int, kind: str) -> dict:
+        """The nonzero entries of a public constructor's ``(index tuple,
+        index)`` table, every key and coefficient checked: ``arity`` fiber
+        indices, then one index in ``1..bound``."""
+        clean: dict[tuple[tuple[int, ...], int], Poly] = {}
+        for (key, index), poly in table.items():
+            key = tuple(key)
+            _check_index_tuple(key, arity, self.rank)
+            if not 1 <= index <= bound:
+                raise ValueError(f"{kind} index {index} out of range 1..{bound}")
+            if poly.n_vars != self.base_dim:
+                raise ValueError("coefficient variable count mismatch")
+            if not poly.is_zero():
+                clean[(key, index)] = poly
+        return clean
 
     def _with(self, entries: Mapping, degree: int | None = None):
         form = object.__new__(type(self))
@@ -121,12 +158,7 @@ class FiberForm(_Linear):
     _DEGREE = "degree"
 
     def __post_init__(self) -> None:
-        if self.base_dim < 0:
-            raise ValueError("base dimension must be >= 0")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
+        self._check_shape()
         clean: dict[tuple[int, ...], Poly] = {}
         for key, poly in self.entries.items():
             key = tuple(key)
@@ -192,14 +224,6 @@ class FiberForm(_Linear):
             acc = acc.add(coeff)
         return acc
 
-    def _check_compatible(self, other: "FiberForm") -> None:
-        if (
-            self.base_dim != other.base_dim
-            or self.rank != other.rank
-            or self.degree != other.degree
-        ):
-            raise ValueError("form shape mismatch")
-
 
 @dataclass(frozen=True)
 class AlgebroidForm(_Linear):
@@ -219,22 +243,8 @@ class AlgebroidForm(_Linear):
     _DEGREE = "form_degree"
 
     def __post_init__(self) -> None:
-        if self.base_dim < 0:
-            raise ValueError("base dimension must be >= 0")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.form_degree < 0:
-            raise ValueError("form degree must be >= 0")
-        clean: dict[tuple[tuple[int, ...], int], Poly] = {}
-        for (key, out), poly in self.entries.items():
-            key = tuple(key)
-            _check_index_tuple(key, self.form_degree, self.rank)
-            if not 1 <= out <= self.rank:
-                raise ValueError(f"output index {out} out of range 1..{self.rank}")
-            if poly.n_vars != self.base_dim:
-                raise ValueError("coefficient variable count mismatch")
-            if not poly.is_zero():
-                clean[(key, out)] = poly
+        self._check_shape()
+        clean = self._checked(self.entries, self.form_degree, self.rank, "output")
         object.__setattr__(self, "entries", clean)
 
     @classmethod
@@ -308,14 +318,6 @@ class AlgebroidForm(_Linear):
                 acc[slot] = acc[slot].add(term) if slot in acc else term
         return self._with(acc, 0)
 
-    def _check_compatible(self, other: "AlgebroidForm") -> None:
-        if (
-            self.base_dim != other.base_dim
-            or self.rank != other.rank
-            or self.form_degree != other.form_degree
-        ):
-            raise ValueError("form shape mismatch")
-
 
 @dataclass(frozen=True)
 class PolyAlgebroid:
@@ -388,20 +390,15 @@ def _check_section(A: PolyAlgebroid, E: AlgebroidForm) -> None:
         raise ValueError("expected a section of the given algebroid")
 
 
-def _check_form(A: PolyAlgebroid, K: AlgebroidForm) -> None:
-    if K.base_dim != A.base_dim or K.rank != A.rank:
-        raise ValueError("form lives on a different algebroid")
+def _check_on(A: PolyAlgebroid, X: "AlgebroidForm | GradedField") -> None:
+    if X.base_dim != A.base_dim or X.rank != A.rank:
+        raise ValueError(f"{type(X).__name__} lives on a different algebroid")
 
 
 def _check_operator(A: PolyAlgebroid, P: AlgebroidForm) -> None:
-    _check_form(A, P)
+    _check_on(A, P)
     if P.form_degree != 1:
         raise ValueError("expected a degree-1 (operator) algebroid form")
-
-
-def _check_field(A: PolyAlgebroid, X: "GradedField") -> None:
-    if X.base_dim != A.base_dim or X.rank != A.rank:
-        raise ValueError("field lives on a different algebroid")
 
 
 def _anchor_image(A: PolyAlgebroid, X: AlgebroidForm) -> dict[int, Poly]:
@@ -467,7 +464,7 @@ def section_bracket(A: PolyAlgebroid, X: AlgebroidForm, Y: AlgebroidForm) -> Alg
 
 
 @dataclass(frozen=True)
-class GradedField:
+class GradedField(_Linear):
     """A polynomial vector field of fixed degree on the shifted bundle.
 
     ``a_part`` maps ``(increasing degree-tuple of fiber indices, base
@@ -483,74 +480,50 @@ class GradedField:
     a_part: Mapping[tuple[tuple[int, ...], int], Poly] = field(default_factory=dict)
     d_part: Mapping[tuple[tuple[int, ...], int], Poly] = field(default_factory=dict)
 
+    _DEGREE = "degree"
+
     def __post_init__(self) -> None:
-        if self.base_dim < 0:
-            raise ValueError("base dimension must be >= 0")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
-        for name, arity, bound, kind in (
-            ("a_part", self.degree, self.base_dim, "base"),
-            ("d_part", self.degree + 1, self.rank, "fiber"),
-        ):
-            clean: dict[tuple[tuple[int, ...], int], Poly] = {}
-            for (key, index), poly in getattr(self, name).items():
-                key = tuple(key)
-                _check_index_tuple(key, arity, self.rank)
-                if not 1 <= index <= bound:
-                    raise ValueError(f"{kind} index {index} out of range 1..{bound}")
-                if poly.n_vars != self.base_dim:
-                    raise ValueError("coefficient variable count mismatch")
-                if not poly.is_zero():
-                    clean[(key, index)] = poly
-            object.__setattr__(self, name, clean)
+        self._check_shape()
+        a_part = self._checked(self.a_part, self.degree, self.base_dim, "base")
+        object.__setattr__(self, "a_part", a_part)
+        d_part = self._checked(self.d_part, self.degree + 1, self.rank, "fiber")
+        object.__setattr__(self, "d_part", d_part)
 
     @classmethod
     def zero(cls, base_dim: int, rank: int, degree: int) -> "GradedField":
         return cls(base_dim, rank, degree, {}, {})
+
+    def _with(self, a_part: Mapping, d_part: Mapping) -> "GradedField":
+        """The field of the same shape with these two tables, unchecked and
+        with zero entries dropped, like the forms' ``_with``."""
+        X = object.__new__(type(self))
+        X.__dict__.update(
+            base_dim=self.base_dim,
+            rank=self.rank,
+            degree=self.degree,
+            a_part={key: poly for key, poly in a_part.items() if poly.terms},
+            d_part={key: poly for key, poly in d_part.items() if poly.terms},
+        )
+        return X
 
     def is_zero(self) -> bool:
         return not self.a_part and not self.d_part
 
     def add(self, other: "GradedField") -> "GradedField":
         self._check_compatible(other)
-        return GradedField(
-            self.base_dim,
-            self.rank,
-            self.degree,
-            _merged(self.a_part, other.a_part),
-            _merged(self.d_part, other.d_part),
-        )
-
-    def sub(self, other: "GradedField") -> "GradedField":
-        return self.add(other.neg())
+        return self._with(_merged(self.a_part, other.a_part), _merged(self.d_part, other.d_part))
 
     def neg(self) -> "GradedField":
-        return GradedField(
-            self.base_dim,
-            self.rank,
-            self.degree,
+        return self._with(
             {k: p.neg() for k, p in self.a_part.items()},
             {k: p.neg() for k, p in self.d_part.items()},
         )
 
     def scale(self, factor: Rational | int) -> "GradedField":
-        return GradedField(
-            self.base_dim,
-            self.rank,
-            self.degree,
+        return self._with(
             {k: p.scale(factor) for k, p in self.a_part.items()},
             {k: p.scale(factor) for k, p in self.d_part.items()},
         )
-
-    def _check_compatible(self, other: "GradedField") -> None:
-        if (
-            self.base_dim != other.base_dim
-            or self.rank != other.rank
-            or self.degree != other.degree
-        ):
-            raise ValueError("graded field shape mismatch")
 
 
 def _check_same_shape(X: GradedField, Y: GradedField) -> None:
@@ -886,7 +859,7 @@ def phi_map(A: PolyAlgebroid, P: AlgebroidForm, X: GradedField) -> AlgebroidForm
     slot field and extends by those coefficients (:func:`_phi_by_slots`).
     """
     _check_operator(A, P)
-    _check_field(A, X)
+    _check_on(A, X)
     b = X.degree + 1
     m, n = A.base_dim, A.rank
     basis = [AlgebroidForm.basis_section(m, n, i) for i in range(1, n + 1)]
@@ -948,8 +921,8 @@ def algebroid_fn_bracket(
     suite keeps the five-sum on general sections as an oracle
     (``tests/oracles.py``) and holds the two in exact agreement.
     """
-    _check_form(A, K)
-    _check_form(A, L)
+    _check_on(A, K)
+    _check_on(A, L)
     m, n = A.base_dim, A.rank
     k, l = K.form_degree, L.form_degree
     deg = k + l
@@ -1254,24 +1227,6 @@ class ConePair:
     def is_zero(self) -> bool:
         return self.field_part.is_zero() and self.form_part.is_zero()
 
-    def add(self, other: "ConePair") -> "ConePair":
-        return ConePair(
-            self.field_part.add(other.field_part),
-            self.form_part.add(other.form_part),
-        )
-
-    def sub(self, other: "ConePair") -> "ConePair":
-        return ConePair(
-            self.field_part.sub(other.field_part),
-            self.form_part.sub(other.form_part),
-        )
-
-    def neg(self) -> "ConePair":
-        return ConePair(self.field_part.neg(), self.form_part.neg())
-
-    def scale(self, factor: Rational | int) -> "ConePair":
-        return ConePair(self.field_part.scale(factor), self.form_part.scale(factor))
-
 
 def delta_njld(A: PolyAlgebroid, P: AlgebroidForm, pair: ConePair) -> ConePair:
     """The mapping-cone differential coupling the two complexes.
@@ -1289,8 +1244,8 @@ def delta_njld(A: PolyAlgebroid, P: AlgebroidForm, pair: ConePair) -> ConePair:
 def _delta_njld(A: PolyAlgebroid, P: AlgebroidForm, pair: ConePair) -> ConePair:
     """:func:`delta_njld` for a pair already known to be a valid algebroid
     with a torsion-free operator."""
-    _check_field(A, pair.field_part)
-    _check_form(A, pair.form_part)
+    _check_on(A, pair.field_part)
+    _check_on(A, pair.form_part)
     q_field = homological_field_q(A)
     new_field = _d_q(q_field, pair.field_part)
     new_form = phi_map(A, P, pair.field_part).neg().sub(

@@ -1089,8 +1089,12 @@ def njl_twisted_betti(
     The degree-``n`` slice pairs suspended-valued components of arity ``n``
     with plain-valued components of arity ``n - 1``; both sides start at
     arity 1, so the slices are lie-1 in degree 1 and lie-n plus njo-(n-1)
-    from degree 2 on, with nothing in degree 0. The complement inside the
-    operator-pair mapping cone is the two-term piece (constants, identity,
+    from degree 2 on, with nothing in degree 0. From degree 2 on it is the
+    operator-pair mapping cone, differential for differential: key
+    ``(tag, ((1, i_1), ...), (1, b))`` is the cone's ``(tag, (i_1, ...), b)``
+    times ``(-1)^(n(n-1)/2)`` on lie-n and ``-(-1)^(m(m-1)/2)`` on njo-m
+    (the decalage sign, and the cone's sign on its second block). The
+    complement inside the cone is the two-term piece (constants, identity,
     constants), which is acyclic, so the Betti numbers agree with the cone's
     in every degree. Exact ranks throughout. Raises ``ValueError`` if the
     twisted differential of a candidate operator does not square to zero.

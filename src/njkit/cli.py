@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .algebroid import (
     AlgebroidForm,
@@ -147,6 +147,16 @@ def _expect_int(data: Mapping, key: str, where: str, minimum: int) -> int:
     return value
 
 
+def _index(text: str) -> int:
+    """An integer index in a key: ASCII digits with an optional sign, as
+    ``int`` reads them. ``int`` alone also takes ``_`` separators and the
+    digits of other scripts, which the grammar excludes."""
+    s = text.strip()
+    if not (s.isascii() and s.lstrip("+-").isdigit()):
+        raise ValueError(f"not an index: {text!r}")
+    return int(s)
+
+
 def _rational(value: Any, where: str) -> Rational:
     if not isinstance(value, str):
         raise InputError(f"{where}: rationals must be strings like '-1/2'")
@@ -170,7 +180,7 @@ def _pair_key(key: str, where: str, low: int, high: int) -> tuple[int, int]:
     if len(parts) != 2:
         raise InputError(f"{where}: key {key!r} is not of the form 'i,j'")
     try:
-        i, j = (int(p) for p in parts)
+        i, j = (_index(p) for p in parts)
     except ValueError:
         raise InputError(f"{where}: key {key!r} is not of the form 'i,j'") from None
     if not (low <= i < j <= high):
@@ -180,39 +190,38 @@ def _pair_key(key: str, where: str, low: int, high: int) -> tuple[int, int]:
     return i, j
 
 
-def _rational_matrix(value: Any, dim: int, where: str) -> Endomorphism:
-    if not isinstance(value, list) or len(value) != dim:
-        raise InputError(f"{where}: expected {dim} rows")
-    rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != dim:
-            raise InputError(f"{where}[{i}]: expected {dim} entries")
-        rows.append(
-            tuple(_rational(cell, f"{where}[{i}][{j}]") for j, cell in enumerate(row))
-        )
-    return Endomorphism(dim, tuple(rows))
-
-
-def _poly_matrix(
-    value: Any, nrows: int, ncols: int, n_vars: int, where: str
-) -> tuple[tuple[Poly, ...], ...]:
+def _matrix(
+    value: Any, nrows: int, ncols: int, where: str, cell: Callable[[Any, str], Any]
+) -> tuple[tuple, ...]:
+    """A ``nrows`` x ``ncols`` JSON matrix, each entry read by ``cell(value, where)``."""
     if not isinstance(value, list) or len(value) != nrows:
         raise InputError(f"{where}: expected {nrows} rows")
     rows = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != ncols:
             raise InputError(f"{where}[{i}]: expected {ncols} entries")
-        rows.append(
-            tuple(
-                _polynomial(cell, n_vars, f"{where}[{i}][{j}]")
-                for j, cell in enumerate(row)
-            )
-        )
+        rows.append(tuple(cell(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)))
     return tuple(rows)
 
 
-def _matrix_strings(p: Endomorphism) -> list[list[str]]:
-    return [[format_rational(c) for c in row] for row in p.rows]
+def _rational_matrix(value: Any, dim: int, where: str) -> Endomorphism:
+    return Endomorphism(dim, _matrix(value, dim, dim, where, _rational))
+
+
+def _poly_matrix(
+    value: Any, nrows: int, ncols: int, n_vars: int, where: str
+) -> tuple[tuple[Poly, ...], ...]:
+    return _matrix(value, nrows, ncols, where, lambda v, here: _polynomial(v, n_vars, here))
+
+
+def _operator_entries(
+    value: Any, n: int, n_vars: int, where: str
+) -> dict[tuple[tuple[int, ...], int], Poly]:
+    """An n x n polynomial operator matrix as degree-1 form entries: entry
+    ``[i][j]``, the coefficient of frame section i+1 in the image of section
+    j+1, goes to the key ``((j+1,), i+1)``."""
+    rows = _poly_matrix(value, n, n, n_vars, where)
+    return {((j,), i): rows[i - 1][j - 1] for i in range(1, n + 1) for j in range(1, n + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +265,7 @@ def parse_lie_file(data: Any, where: str = "input") -> LieInput:
         vec = [Fraction(0)] * dim
         for kstr, cell in inner.items():
             try:
-                k = int(kstr)
+                k = _index(kstr)
             except ValueError:
                 raise InputError(f"{here}: component key {kstr!r} is not an integer")
             if not 0 <= k < dim:
@@ -293,30 +302,6 @@ def parse_lie_file(data: Any, where: str = "input") -> LieInput:
         raise InputError(f"{where}.rep_nijenhuis: requires a representation")
 
     return LieInput(algebra, operator, representation, rep_operator)
-
-
-def serialize_lie(inp: LieInput) -> dict:
-    """Canonical JSON form; parse-then-serialize is idempotent."""
-    out: dict[str, Any] = {"dim": inp.algebra.dim}
-    if inp.algebra.basis_names is not None:
-        out["basis"] = list(inp.algebra.basis_names)
-    table = {}
-    for (i, j) in sorted(inp.algebra.brackets):
-        vec = inp.algebra.brackets[(i, j)]
-        inner = {str(k): format_rational(c) for k, c in enumerate(vec) if c}
-        if inner:
-            table[f"{i},{j}"] = inner
-    out["brackets"] = table
-    if inp.operator is not None:
-        out["nijenhuis"] = _matrix_strings(inp.operator)
-    if inp.representation is not None:
-        out["representation"] = {
-            "dim": inp.representation.dim,
-            "matrices": [_matrix_strings(a) for a in inp.representation.actions],
-        }
-    if inp.rep_operator is not None:
-        out["rep_nijenhuis"] = _matrix_strings(inp.rep_operator)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -357,38 +342,10 @@ def parse_algebroid_file(data: Any, where: str = "input") -> AlgebroidInput:
 
     operator = None
     if "nijenhuis" in data:
-        rows = _poly_matrix(
-            data["nijenhuis"], rank, rank, base_dim, f"{where}.nijenhuis"
-        )
-        entries = {
-            ((j,), i): rows[i - 1][j - 1]
-            for i in range(1, rank + 1)
-            for j in range(1, rank + 1)
-        }
+        entries = _operator_entries(data["nijenhuis"], rank, base_dim, f"{where}.nijenhuis")
         operator = AlgebroidForm(base_dim, rank, 1, entries)
 
     return AlgebroidInput(algebroid, operator)
-
-
-def serialize_algebroid(inp: AlgebroidInput) -> dict:
-    """Canonical JSON form; parse-then-serialize is idempotent."""
-    A = inp.algebroid
-    out: dict[str, Any] = {"base_dim": A.base_dim, "rank": A.rank}
-    out["anchor"] = [[p.format() for p in row] for row in A.anchor]
-    out["structure"] = {
-        f"{i},{j}": [p.format() for p in A.structure[(i, j)]]
-        for (i, j) in sorted(A.structure)
-    }
-    if inp.operator is not None:
-        zero = Poly.zero(A.base_dim)
-        out["nijenhuis"] = [
-            [
-                inp.operator.entries.get(((j,), i), zero).format()
-                for j in range(1, A.rank + 1)
-            ]
-            for i in range(1, A.rank + 1)
-        ]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +372,8 @@ def _parse_form(data: Any, n: int, where: str) -> VectorValuedForm:
         if not sep:
             raise InputError(f"{here}: key must look like 'i1,..,ik|a'")
         try:
-            idx = tuple(int(p) for p in head.split(",")) if head else ()
-            out = int(tail)
+            idx = tuple(_index(p) for p in head.split(",")) if head else ()
+            out = _index(tail)
         except ValueError:
             raise InputError(f"{here}: key must look like 'i1,..,ik|a'") from None
         if len(idx) != degree:
@@ -448,33 +405,9 @@ def parse_forms_file(data: Any, where: str = "input") -> FormsInput:
     right = _parse_form(data["right"], n, f"{where}.right") if "right" in data else None
     operator = None
     if "operator" in data:
-        rows = _poly_matrix(data["operator"], n, n, n, f"{where}.operator")
-        entries = {
-            ((j,), i): rows[i - 1][j - 1]
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        }
+        entries = _operator_entries(data["operator"], n, n, f"{where}.operator")
         operator = VectorValuedForm(n, 1, entries)
     return FormsInput(n, left, right, operator)
-
-
-def serialize_forms(inp: FormsInput) -> dict:
-    """Canonical JSON form; parse-then-serialize is idempotent."""
-    out: dict[str, Any] = {"n": inp.n}
-    if inp.left is not None:
-        out["left"] = _form_json(inp.left)
-    if inp.right is not None:
-        out["right"] = _form_json(inp.right)
-    if inp.operator is not None:
-        zero = Poly.zero(inp.n)
-        out["operator"] = [
-            [
-                inp.operator.entries.get(((j,), i), zero).format()
-                for j in range(1, inp.n + 1)
-            ]
-            for i in range(1, inp.n + 1)
-        ]
-    return out
 
 
 # ---------------------------------------------------------------------------

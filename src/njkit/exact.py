@@ -22,7 +22,8 @@ Rational = Fraction
 
 DegreeList = tuple[int, ...]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# ASCII digits only: ``\d`` would also match the digits of other scripts.
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Rational:

@@ -16,7 +16,8 @@ from typing import Iterator, Mapping
 
 from .exact import Rational, format_rational, parse_rational
 
-_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+# ASCII digits only, as in the rational literals of :mod:`njkit.exact`.
+_FACTOR_RE = re.compile(r"^x([0-9]+)(?:\^([0-9]+))?$")
 
 
 @dataclass(frozen=True)

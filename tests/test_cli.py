@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,10 +27,8 @@ from njkit.cli import (
     parse_algebroid_file,
     parse_forms_file,
     parse_lie_file,
-    serialize_algebroid,
-    serialize_forms,
-    serialize_lie,
 )
+from njkit.poly import Poly
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -430,30 +429,83 @@ def test_shared_parser_answers_like_a_fresh_process(capsys, monkeypatch):
     assert build_parser() is build_parser()
 
 
-def test_round_trip_of_all_shipped_fixtures():
-    for path in sorted(FIXTURES.glob("*.json")):
-        data = json.loads(path.read_text())
-        if "dim" in data:
-            parse, serialize = parse_lie_file, serialize_lie
-        elif "base_dim" in data:
-            parse, serialize = parse_algebroid_file, serialize_algebroid
-        else:
-            parse, serialize = parse_forms_file, serialize_forms
-        canonical = serialize(parse(data))
-        again = serialize(parse(canonical))
-        assert canonical == again, path.name
-        json.dumps(canonical)
-
-
-def test_lie_serialization_is_canonical():
+def test_lie_file_values_parse_to_reduced_rationals():
     data = {
         "dim": 2,
         "brackets": {"0,1": {"1": "2/4", "0": "0"}},
         "nijenhuis": [["1", "0"], ["0", "-2/2"]],
     }
-    out = serialize_lie(parse_lie_file(data))
-    assert out == {
-        "dim": 2,
-        "brackets": {"0,1": {"1": "1/2"}},
-        "nijenhuis": [["1", "0"], ["0", "-1"]],
+    inp = parse_lie_file(data)
+    assert inp.algebra.brackets == {(0, 1): (Fraction(0), Fraction(1, 2))}
+    assert inp.operator.rows == ((1, 0), (0, -1))
+    # A bracket whose components are all zero is not stored.
+    assert parse_lie_file({"dim": 2, "brackets": {"0,1": {"0": "0"}}}).algebra.brackets == {}
+
+
+def test_operator_matrix_entry_i_j_is_the_image_of_section_j_on_section_i():
+    """Entry ``[i][j]`` of an operator matrix becomes the form entry
+    ``((j+1,), i+1)``, in algebroid files and in forms files alike; a "0"
+    entry is not stored."""
+    rows = [["x1", "2/4"], ["0", "x1*x2 - 3"]]
+    expected = {
+        ((1,), 1): Poly.parse("x1", 2),
+        ((2,), 1): Poly.const(2, Fraction(1, 2)),
+        ((2,), 2): Poly.parse("x1*x2 - 3", 2),
     }
+    algebroid = parse_algebroid_file(
+        {"base_dim": 2, "rank": 2, "anchor": [["1", "0"], ["0", "1"]], "nijenhuis": rows}
+    )
+    assert algebroid.operator.form_degree == 1
+    assert algebroid.operator.entries == expected
+    forms = parse_forms_file({"n": 2, "operator": rows})
+    assert forms.operator.form_degree == 1
+    assert forms.operator.entries == expected
+
+
+# Each document uses a digit, or a digit separator, that the grammar of
+# rationals, variables and index keys excludes: only ASCII digits count.
+_NON_ASCII_DIGIT_INPUTS = {
+    "arabic-indic-rational": (
+        ["check", "lie", "-"],
+        {"dim": 2, "brackets": {"0,1": {"0": "\u0663/\u0664"}}},
+    ),
+    "underscore-in-bracket-key": (
+        ["check", "lie", "-"],
+        {"dim": 11, "brackets": {"0,1_0": {"0": "1"}}},
+    ),
+    "underscore-in-component-key": (
+        ["check", "lie", "-"],
+        {"dim": 2, "brackets": {"0,1": {"0_1": "1"}}},
+    ),
+    "non-ascii-variable-index-and-exponent": (
+        ["fn-bracket", "-"],
+        {
+            "n": 2,
+            "left": {"degree": 1, "entries": {"1|1": "x\u0661^\uff12"}},
+            "right": {"degree": 1, "entries": {"1|2": "x2"}},
+        },
+    ),
+    "non-ascii-form-key": (
+        ["fn-bracket", "-"],
+        {
+            "n": 2,
+            "left": {"degree": 1, "entries": {"\u0661|1": "x1"}},
+            "right": {"degree": 1, "entries": {"1|2": "x2"}},
+        },
+    ),
+    "non-ascii-structure-key": (
+        ["check", "algebroid", "-"],
+        {"base_dim": 0, "rank": 2, "structure": {"1,\u0662": ["1", "0"]}},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NON_ASCII_DIGIT_INPUTS))
+def test_only_ascii_digits_parse(capsys, monkeypatch, kind):
+    argv, doc = _NON_ASCII_DIGIT_INPUTS[kind]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import doctest
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -53,3 +56,15 @@ def test_no_float_literal_or_float_call_in_the_package():
             ):
                 found.append(f"{path.name}:{node.lineno}: float(...)")
     assert not found
+
+
+def test_docstring_examples_run():
+    """The ``>>>`` examples in the package's docstrings, module by module."""
+    failed = attempted = 0
+    names = [info.name for info in pkgutil.iter_modules(njkit.__path__)]
+    for module in [njkit] + [importlib.import_module(f"njkit.{name}") for name in names]:
+        result = doctest.testmod(module)
+        failed += result.failed
+        attempted += result.attempted
+    assert failed == 0
+    assert attempted >= 12

@@ -114,8 +114,8 @@ def test_form_arithmetic_returns_validated_values(case):
 
 
 @st.composite
-def graded_fields(draw, base_dim: int, rank: int) -> GradedField:
-    degree = draw(st.integers(0, 2))
+def graded_fields(draw, base_dim: int, rank: int, degree: int | None = None) -> GradedField:
+    degree = draw(st.integers(0, 2)) if degree is None else degree
     parts = []
     for arity, bound in ((degree, base_dim), (degree + 1, rank)):
         keys = [
@@ -124,6 +124,43 @@ def graded_fields(draw, base_dim: int, rank: int) -> GradedField:
         chosen = draw(st.lists(st.sampled_from(keys), max_size=4, unique=True)) if keys else []
         parts.append({k: draw(polys(base_dim)) for k in chosen})
     return GradedField(base_dim, rank, degree, *parts)
+
+
+def assert_clean_field(X: GradedField) -> None:
+    assert type(X) is GradedField
+    assert X == GradedField(X.base_dim, X.rank, X.degree, dict(X.a_part), dict(X.d_part))
+    for poly in [*X.a_part.values(), *X.d_part.values()]:
+        assert not poly.is_zero()
+        assert_clean_poly(poly)
+
+
+@SETTINGS
+@given(st.data())
+def test_graded_field_arithmetic_returns_validated_fields(data):
+    base_dim, rank = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 3))
+    X = data.draw(graded_fields(base_dim, rank))
+    # Half of the time Y shares some of X's entries.
+    Y = data.draw(graded_fields(base_dim, rank, X.degree))
+    if data.draw(st.booleans()):
+        Y = Y.add(X.scale(data.draw(COEFFS)))
+    c = data.draw(COEFFS)
+    for r in (X.add(Y), X.sub(Y), X.neg(), X.scale(c), X.scale(0), X.sub(X)):
+        assert_clean_field(r)
+    cancelled = X.add(X.neg())
+    assert cancelled.a_part == {} and cancelled.d_part == {} and cancelled.is_zero()
+    # Sums and scalings agree with the public constructor on merged tables.
+    assert X.scale(c) == GradedField(
+        base_dim,
+        rank,
+        X.degree,
+        {k: p.scale(c) for k, p in X.a_part.items()},
+        {k: p.scale(c) for k, p in X.d_part.items()},
+    )
+    other_degree = GradedField.zero(base_dim, rank, X.degree + 1)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        X.add(other_degree)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        X.sub(GradedField.zero(base_dim, rank + 1, X.degree))
 
 
 @st.composite

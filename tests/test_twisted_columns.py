@@ -1,11 +1,13 @@
-"""The twisted complex against the generic expansion of its differential.
+"""The twisted complex against the generic expansion of its differential,
+and against the operator-pair mapping cone.
 
 ``_twisted_complex`` computes the brace terms that read only components of
 ``alpha`` (``nu{s tau}``, ``s tau{nu}``) once per complex and keeps them in
 a table that lives in the complex's column closure. Every column must
 still equal the expansion through the public ``NjlLInfty.l``, one
 ``l([alpha] * i + [x])`` per ``i`` (``tests/oracles.py``), entry for entry,
-and the table must be freed with the complex.
+and the table must be freed with the complex. From degree 2 on, its
+matrices are the cone's up to one diagonal sign change of basis.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from njkit.braces import (
     shuffle_brace,
     tau_from_operator,
 )
+from njkit.cohomology import _complexes
 from njkit.lie import (
     Endomorphism,
     LieAlgebra,
@@ -42,6 +45,7 @@ from njkit.lie import (
 )
 
 from oracles import twisted_column_by_l
+from test_acceptance import _book3, _sl2_centre, _solvable2
 
 
 def _sl2() -> LieAlgebra:
@@ -181,3 +185,69 @@ def test_the_alpha_table_dies_with_the_complex():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# The criterion-4 fixtures of ``tests/test_acceptance.py``.
+CRITERION_4 = {
+    "sl2-diag112": lambda: (_sl2(), Endomorphism.diagonal([1, 1, 2])),
+    "solvable2": lambda: (_solvable2(), Endomorphism.diagonal([1, 2])),
+    "book3": lambda: (_book3(), Endomorphism.diagonal([1, 2, 3])),
+    "sl2-centre": lambda: (_sl2_centre(), Endomorphism.diagonal([1, 1, 2, 3])),
+}
+
+
+def _cone_key(key: tuple) -> tuple:
+    """A twisted basis key ``(tag, ((1, i1), ...), (1, b))`` as the cone key
+    ``(tag, (i1, ...), b)`` of the same cochain."""
+    tag, args, (_, b) = key
+    return tag, tuple(i for _, i in args), b
+
+
+def _sign(key: tuple) -> int:
+    """The diagonal entry of S on a twisted basis key.
+
+    ``to_suspended`` and ``cochain_to_plain`` carry a cochain's values over
+    verbatim: the arity-n map sends ``(s x_1, ..., s x_n)`` to ``s c(x_1,
+    ..., x_n)`` or ``c(x_1, ..., x_n)``. The decalage of Lada-Markl sends
+    ``c`` to ``s c (s^-1)^n`` or ``c (s^-1)^n`` instead, and the k-th
+    ``s^-1`` passes the k - 1 odd arguments in front of it, so on
+    ``(s x_1, ..., s x_n)`` it carries the sign (-1)^(0 + 1 + ... + (n-1))
+    = (-1)^(n(n-1)/2), on suspended-valued and plain-valued maps alike.
+    The remaining sign is the cone's convention: ``MappingCone`` writes
+    ``(a, b) -> (d_ce a, -psi a - d_njo b)``, and under the decalage the
+    twisted operation is ``(a, b) -> (d_ce a, psi a - d_njo b)``, the same
+    cone after the change of basis ``b -> -b`` on the njo block. So S is
+    (-1)^(n(n-1)/2) on lie-n and -(-1)^(m(m-1)/2) on njo-m; being diagonal
+    with entries +-1, it is its own inverse. The test below checks the
+    whole identity, so a wrong sign in either source shows as a mismatch.
+    """
+    tag, args, _ = key
+    n = len(args)
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign if tag == "lie" else -sign
+
+
+@pytest.mark.parametrize("name", sorted(CRITERION_4) + sorted(STRUCTURES))
+def test_twisted_complex_is_the_cone_through_a_diagonal_sign(name):
+    """``d_tw = S d_cone S`` entry by entry in every degree from 2 on. In
+    degree 1 the cone also holds njo-0, the constants that the twisted
+    complex leaves out (see ``njl_twisted_betti``)."""
+    alg, p = {**CRITERION_4, **STRUCTURES}[name]()
+    nja = NijenhuisLieAlgebra(alg, p)
+    twisted = _twisted_complex(alg, p)
+    cone = _complexes(nja, adjoint_nijenhuis(nja))["njl"]
+    # The top of both complexes is degree dim + 1. sl2xsl2's degrees 4 to 6
+    # would add about a second, so it stops at the degrees the column test
+    # above reaches.
+    top = alg.dim + 1 if alg.dim <= 5 else 3
+    for n in range(2, top + 1):
+        cols, rows = twisted.keys(n), twisted.keys(n + 1)
+        assert [_cone_key(k) for k in cols] == cone.keys(n), n
+        assert [_cone_key(k) for k in rows] == cone.keys(n + 1), n
+        expected = {
+            (r, c): _sign(rows[r]) * v * _sign(cols[c])
+            for (r, c), v in cone.matrix(n).entries.items()
+            if v
+        }
+        got = {pos: v for pos, v in twisted.matrix(n).entries.items() if v}
+        assert got == expected, n

@@ -412,17 +412,6 @@ def _anchor_image(A: PolyAlgebroid, X: AlgebroidForm) -> dict[int, Poly]:
     return out
 
 
-def anchor_apply(A: PolyAlgebroid, X: AlgebroidForm, h: Poly) -> Poly:
-    """Apply the anchor image of a section to a base function."""
-    _check_section(A, X)
-    if h.n_vars != A.base_dim:
-        raise ValueError("function variable count mismatch")
-    acc = Poly.zero(A.base_dim)
-    for alpha, v in _anchor_image(A, X).items():
-        acc = acc.add(v.mul(h.partial(alpha)))
-    return acc
-
-
 def section_bracket(A: PolyAlgebroid, X: AlgebroidForm, Y: AlgebroidForm) -> AlgebroidForm:
     """Extended bracket of two polynomial sections.
 

@@ -24,10 +24,14 @@ Conventions (fixed once, everything else derives from them)
   component of each value make up a key of ``f``. So only the input words
   merged from such keys are visited; every other word sums to zero. A
   unary ``f`` with one argument is postcomposition and skips the words.
-* The twisted differential at ``alpha`` keeps the brace terms that read
-  only components of ``alpha`` in a table (:class:`_AlphaBraces`): one per
-  call of ``NjlLInfty.twisted_l1``, one per twisted complex. The generic
-  expansion through ``NjlLInfty.l`` is the oracle in ``tests/oracles.py``.
+* Everything built from a fixed ``alpha`` is one alpha-expansion,
+  ``sum_{i >= 1} (-1)^(k(k-1)/2) / i! * l(alpha, ..., alpha, *tail)`` with
+  ``i`` copies of ``alpha`` and ``k = i + len(tail)``
+  (``NjlLInfty._alpha_expansion``): the twisted differential is its tail
+  ``[x]``, and the curvature that ``mc_residual`` and ``linfty_validate``
+  read is its empty tail. The brace terms that read only components of
+  ``alpha`` are kept in a table (:class:`_AlphaBraces`): one per call, one
+  per twisted complex. ``tests/oracles.py`` keeps the hand expansions.
 """
 
 from __future__ import annotations
@@ -334,21 +338,6 @@ def _cochain_on_suspension(f: Cochain, sv_valued: bool, mismatch: str) -> Suspen
     return SuspendedHom(space, f.degree, int(sv_valued) - f.degree, sv_valued, values)
 
 
-def _suspension_to_cochain(h: SuspendedHom, sv_valued: bool) -> Cochain:
-    """Inverse of :func:`_cochain_on_suspension` for the given flavour."""
-    dim = _ungraded_dim(h)
-    if h.sv_valued != sv_valued:
-        raise ValueError(f"expected a {'suspended' if sv_valued else 'plain'}-valued map")
-    values = {}
-    for args, gv in h.values.items():
-        key = tuple(i for _, i in args)
-        vec = [Fraction(0)] * dim
-        for (_, j), v in gv.items():
-            vec[j] = v
-        values[key] = tuple(vec)
-    return Cochain(h.arity, dim, dim, values)
-
-
 def to_suspended(f: Cochain) -> SuspendedHom:
     """Identify an alternating cochain on an ungraded space with a graded
     symmetric suspended-valued map on the suspension. Basis values carry
@@ -356,38 +345,10 @@ def to_suspended(f: Cochain) -> SuspendedHom:
     return _cochain_on_suspension(f, True, "suspension identification needs source == target")
 
 
-def from_suspended(sf: SuspendedHom) -> Cochain:
-    """Inverse of :func:`to_suspended`."""
-    return _suspension_to_cochain(sf, True)
-
-
 def cochain_to_plain(g: Cochain) -> SuspendedHom:
     """Identify a cochain with a plain-valued map on suspended arguments
     (the operator-complex side of the dictionary)."""
     return _cochain_on_suspension(g, False, "identification needs source == target")
-
-
-def plain_to_cochain(h: SuspendedHom) -> Cochain:
-    """Inverse of :func:`cochain_to_plain`."""
-    return _suspension_to_cochain(h, False)
-
-
-def _ungraded_dim(h: SuspendedHom) -> int:
-    dims = dict(h.space.dims)
-    if set(dims) != {1}:
-        raise ValueError("not a suspension of an ungraded space")
-    return dims[1]
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if total < 0:
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _insertions(
@@ -408,58 +369,62 @@ def _insertions(
     a single input or opens the next block, which takes the rest of its
     positions from the free ones to its right.
     """
+    walk = (x, gs, read, [d % 2 for d, _ in x], [True] * len(x), [])
+    return _place(walk, 0, 0, singles, 1, 0)
+
+
+def _place(
+    walk: tuple, pos: int, t: int, singles_left: int, sign: int, before: int
+) -> Iterator[tuple[list, int]]:
+    """The routings of :func:`_insertions` that complete the slots laid out
+    so far, from position ``pos`` and block ``t`` on, with ``before`` the
+    degree laid out so far. ``walk`` is the state of one call of
+    :func:`_insertions`: the word, the inserted maps, ``read``, the parity
+    of each input, which positions are still free, and the slots; the last
+    two are restored before it returns."""
+    x, gs, read, odd, free, slots = walk
     size = len(x)
-    odd = [d % 2 for d, _ in x]
-    free = [True] * size
-    slots: list = []
-
-    def place(pos: int, t: int, singles_left: int, sign: int, before: int):
-        while pos < size and not free[pos]:
-            pos += 1
-        if pos == size:
-            # Every position is used, so all blocks and singles are placed.
-            yield list(slots), sign
-            return
-        free[pos] = False
-        if singles_left and x[pos] in read:
-            slots.append(x[pos])
-            yield from place(pos + 1, t, singles_left - 1, sign, before + x[pos][0])
+    while pos < size and not free[pos]:
+        pos += 1
+    if pos == size:
+        # Every position is used, so all blocks and singles are placed.
+        yield list(slots), sign
+        return
+    free[pos] = False
+    if singles_left and x[pos] in read:
+        slots.append(x[pos])
+        yield from _place(walk, pos + 1, t, singles_left - 1, sign, before + x[pos][0])
+        slots.pop()
+    if t < len(gs):
+        g = gs[t]
+        if (g.total_degree * before) % 2:
+            sign = -sign
+        later = [q for q in range(pos + 1, size) if free[q]]
+        for rest in combinations(later, g.arity - 1):
+            # A subsequence of a canonical tuple is canonical.
+            value = g.values.get((x[pos],) + tuple(x[q] for q in rest))
+            if value is None or read.isdisjoint(value):
+                continue
+            # Laying the block out moves each of its later inputs past
+            # the free inputs between the block's first position and it.
+            crossed = 0
+            for j, q in enumerate(rest):
+                if odd[q]:
+                    crossed += sum(odd[r] for r in range(pos + 1, q) if free[r])
+                    crossed -= sum(odd[r] for r in rest[:j])
+            block_degree = x[pos][0]
+            for q in rest:
+                free[q] = False
+                block_degree += x[q][0]
+            slots.append(value)
+            block_sign = -sign if crossed % 2 else sign
+            yield from _place(
+                walk, pos + 1, t + 1, singles_left, block_sign, before + block_degree
+            )
             slots.pop()
-        if t < len(gs):
-            g = gs[t]
-            if (g.total_degree * before) % 2:
-                sign = -sign
-            later = [q for q in range(pos + 1, size) if free[q]]
-            for rest in combinations(later, g.arity - 1):
-                # A subsequence of a canonical tuple is canonical.
-                value = g.values.get((x[pos],) + tuple(x[q] for q in rest))
-                if value is None or read.isdisjoint(value):
-                    continue
-                # Laying the block out moves each of its later inputs past
-                # the free inputs between the block's first position and it.
-                crossed = 0
-                for j, q in enumerate(rest):
-                    if odd[q]:
-                        crossed += sum(odd[r] for r in range(pos + 1, q) if free[r])
-                        crossed -= sum(odd[r] for r in rest[:j])
-                block_degree = x[pos][0]
-                for q in rest:
-                    free[q] = False
-                    block_degree += x[q][0]
-                slots.append(value)
-                yield from place(
-                    pos + 1,
-                    t + 1,
-                    singles_left,
-                    -sign if crossed % 2 else sign,
-                    before + block_degree,
-                )
-                slots.pop()
-                for q in rest:
-                    free[q] = True
-        free[pos] = True
-
-    return place(0, 0, singles, 1, 0)
+            for q in rest:
+                free[q] = True
+    free[pos] = True
 
 
 def shuffle_brace(sf: SuspendedHom, args: Sequence[SuspendedHom]) -> SuspendedHom:
@@ -557,9 +522,12 @@ def _reachable_words(
 
 def rn_bracket(a: SuspendedHom, b: SuspendedHom) -> SuspendedHom:
     """Graded Lie bracket built from single-argument braces:
-    ``[a, b] = a{b} - (-1)^{|a||b|} b{a}`` with the total map degrees."""
+    ``[a, b] = a{b} - (-1)^{|a||b|} b{a}`` with the total map degrees, and
+    ``[a, a] = (1 - (-1)^{|a|}) a{a}`` from one brace."""
     if not (a.sv_valued and b.sv_valued):
         raise ValueError("the bracket lives on suspended-valued maps")
+    if a is b:
+        return shuffle_brace(a, [a]).scale(2 if a.total_degree % 2 else 0)
     sign = -1 if (a.total_degree * b.total_degree) % 2 else 1
     first = shuffle_brace(a, [b])
     second = shuffle_brace(b, [a])
@@ -651,29 +619,26 @@ class NjlLInfty:
         ``sign`` times the bracket of ``head`` and ``rest[0]`` (kind
         ``"lie"``) or the mixed component on ``head`` and ``rest`` (kind
         ``"njo"``); ``None`` when the component is zero."""
-        tags = [t for t, _ in tagged]
-        homs = [h for _, h in tagged]
         n_args = len(tagged)
         if n_args < 2:
             return None
-        if tags.count("lie") == 2 and n_args == 2:
-            return 1, "lie", homs[0], (homs[1],)
-        if tags.count("lie") != 1:
+        lie = [k for k, (t, _) in enumerate(tagged) if t == "lie"]
+        if len(lie) == 2 and n_args == 2:
+            return 1, "lie", tagged[0][1], (tagged[1][1],)
+        if len(lie) != 1 or tagged[lie[0]][1].arity != n_args - 1:
             return None
-        k = tags.index("lie")
-        sh = homs[k]
+        k = lie[0]
+        sh = tagged[k][1]
         gs = tuple(h for t, h in tagged if t == "njo")
-        if sh.arity != len(gs):
-            return None
         # Move the suspended-valued argument to the front.
         front = (sh.total_degree * sum(g.total_degree for g in gs[:k]) + k) % 2
         return -1 if front else 1, "njo", sh, gs
 
     def _evaluate(
         self, kind: str, head: SuspendedHom, rest: tuple[SuspendedHom, ...], table: "_AlphaBraces"
-    ) -> CNjLElement:
+    ) -> SuspendedHom:
         if kind == "lie":
-            return CNjLElement(lie=[rn_bracket(head, rest[0])])
+            return rn_bracket(head, rest[0])
         return self._l_lie_first(head, list(rest), table)
 
     def l_tagged(self, tagged: Sequence[tuple[str, SuspendedHom]]) -> CNjLElement:
@@ -682,11 +647,11 @@ class NjlLInfty:
             return CNjLElement()
         sign, kind, head, rest = term
         out = self._evaluate(kind, head, rest, _AlphaBraces(CNjLElement()))
-        return out.scale(-1) if sign < 0 else out
+        return CNjLElement(**{kind: [out.scale(-1) if sign < 0 else out]})
 
     def _l_lie_first(
         self, sh: SuspendedHom, gs: list[SuspendedHom], table: "_AlphaBraces"
-    ) -> CNjLElement:
+    ) -> SuspendedHom:
         n = len(gs)
         degrees = [g.total_degree for g in gs]
         out_arity = sum(g.arity for g in gs)
@@ -728,70 +693,88 @@ class NjlLInfty:
                 inner = table.brace(key, suspended[order[j]], [inner])
             for args, gv in inner.values.items():
                 _gv_add(values.setdefault(args, {}), gv, sign)
-        return CNjLElement(
-            njo=[SuspendedHom._trusted(self.space, out_arity, out_degree, False, values)]
-        )
+        return SuspendedHom._trusted(self.space, out_arity, out_degree, False, values)
 
     def l(self, elements: Sequence[CNjLElement]) -> CNjLElement:
         """Multilinear extension over the components of each element.
 
         Rearrangements that hand the same objects to one component are
-        evaluated once, with their signs added up."""
+        evaluated once, with their signs added up; so are the two orders of
+        a bracket, by its graded antisymmetry."""
         return self._l(elements, _AlphaBraces(CNjLElement()))
 
-    def _l(self, elements: Sequence[CNjLElement], table: "_AlphaBraces") -> CNjLElement:
+    def _l(
+        self, elements: Sequence[CNjLElement], table: "_AlphaBraces", coeff: Fraction | int = 1
+    ) -> CNjLElement:
+        """``coeff`` times :meth:`l`, with the brace terms that read only
+        components of ``table.alpha`` taken from ``table``."""
         signs: dict[tuple, list] = {}
-        for combo in product(*[e.tagged() for e in elements]):
+        # A bracket-side input takes part only in the bracket (two inputs)
+        # or as the head of a mixed component of its arity plus one.
+        k = len(elements)
+        usable = [
+            [(t, h) for t, h in e.tagged() if t == "njo" or k == 2 or h.arity == k - 1]
+            for e in elements
+        ]
+        for combo in product(*usable):
             term = self._term(combo)
             if term is None:
                 continue
             sign, kind, head, rest = term
+            if kind == "lie" and head is not rest[0] and ("lie", id(rest[0]), id(head)) in signs:
+                # [b, a] = -(-1)^(|a||b|) [a, b]: add to the bracket built first.
+                odd = (head.total_degree * rest[0].total_degree) % 2
+                sign, head, rest = sign if odd else -sign, rest[0], (head,)
             key = (kind, id(head)) + tuple(id(h) for h in rest)
             if key in signs:
                 signs[key][0] += sign
             else:
                 signs[key] = [sign, kind, head, rest]
-        out = CNjLElement()
+        parts: dict[str, list[SuspendedHom]] = {"lie": [], "njo": []}
         for sign, kind, head, rest in signs.values():
             if sign:
-                out = out.add(self._evaluate(kind, head, rest, table).scale(sign))
-        return out
+                term = self._evaluate(kind, head, rest, table)
+                parts[kind].append(term if sign * coeff == 1 else term.scale(sign * coeff))
+        return CNjLElement(**parts)
 
-    def twisted_l1(
-        self, alpha: CNjLElement, x: CNjLElement, i_cap: int | None = None
-    ) -> CNjLElement:
+    def twisted_l1(self, alpha: CNjLElement, x: CNjLElement) -> CNjLElement:
         """Differential obtained by twisting at ``alpha``: the sum over
         ``i >= 1`` of ``(-1)^(i(i+1)/2) / i!`` times the component with ``i``
         copies of ``alpha`` in front of ``x`` (the untwisted unary component
-        is zero here).
+        is zero here), the :meth:`_alpha_expansion` with tail ``[x]``.
 
         Brace subterms that read only components of ``alpha`` (such as
         ``nu{s tau}`` and ``s tau{nu}``) are computed once per call in an
         :class:`_AlphaBraces` table; ``_twisted_complex`` keeps one table
-        for all its columns. ``tests/oracles.py`` keeps the expansion through
-        the public :meth:`l`, one ``l([alpha] * i + [x])`` per ``i``.
+        for all its columns. Oracle: ``twisted_column_by_l`` in
+        ``tests/oracles.py``, one public ``l([alpha] * i + [x])`` per ``i``.
         """
-        return self._twisted_l1(_AlphaBraces(alpha), x, i_cap)
+        return self._alpha_expansion(_AlphaBraces(alpha), [x])
 
-    def _twisted_l1(
-        self, table: "_AlphaBraces", x: CNjLElement, i_cap: int | None
+    def _alpha_expansion(
+        self, table: "_AlphaBraces", tail: Sequence[CNjLElement]
     ) -> CNjLElement:
+        """``sum_{i >= 1} (-1)^(k(k-1)/2) / i! * l(alpha, ..., alpha, *tail)``
+        with ``i`` copies of ``alpha = table.alpha`` and ``k = i + len(tail)``.
+
+        A component is nonzero only on two bracket-side inputs or on one of
+        arity ``k - 1``, so ``i`` stops one past the largest bracket-side
+        arity among ``alpha`` and ``tail``.
+        """
         alpha = table.alpha
-        if i_cap is None:
-            arities = [h.arity for h in alpha.lie + x.lie]
-            i_cap = max(arities, default=1) + 1
+        top = max((h.arity for e in (alpha, *tail) for h in e.lie), default=1) + 1
         out = CNjLElement()
-        for i in range(1, i_cap + 1):
-            coeff = Fraction((-1) ** ((i * (i + 1) // 2) % 2), factorial(i))
-            term = self._l([alpha] * i + [x], table)
-            out = out.add(term.scale(coeff))
+        for i in range(1, top + 1):
+            k = i + len(tail)
+            coeff = Fraction(-1 if (k * (k - 1) // 2) % 2 else 1, factorial(i))
+            out = out.add(self._l([alpha] * i + list(tail), table, coeff))
         return out
 
 
 class _AlphaBraces:
-    """The brace subterms of the twisted differential that read only
-    components of a fixed ``alpha``, each computed on first use and kept as
-    long as the table.
+    """The brace subterms of an alpha-expansion that read only components
+    of a fixed ``alpha``, each computed on first use and kept as long as the
+    table.
 
     A subterm is keyed by the positions of its inputs in ``alpha.tagged()``
     (its labels), never by object identity. A step with any other input
@@ -834,11 +817,14 @@ class MaurerCartanCandidate:
     r: Mapping[int, SuspendedHom]
 
     def __post_init__(self) -> None:
-        for arity, h in {**self.b, **self.r}.items():
-            if h.arity != arity:
-                raise ValueError("component stored under wrong arity")
-            if h.space != self.space:
-                raise ValueError("space mismatch")
+        for family in (self.b, self.r):
+            for arity, h in family.items():
+                if h.arity != arity:
+                    raise ValueError("component stored under wrong arity")
+                if h.space != self.space:
+                    raise ValueError("space mismatch")
+                if h.total_degree != -1:
+                    raise ValueError("components must have total degree -1")
         if any(not h.sv_valued for h in self.b.values()):
             raise ValueError("bracket components must be suspended-valued")
         if any(h.sv_valued for h in self.r.values()):
@@ -876,10 +862,15 @@ def mc_residual(cand: MaurerCartanCandidate, n_max: int) -> MCReport:
     """Evaluate both Maurer-Cartan equation families exactly.
 
     ``n_max`` truncates the candidate to components of arity at most
-    ``n_max``; each family is then evaluated at every arity the truncated
-    components can reach (bracket family up to ``2*n_max - 1``, operator
-    family up to ``n_max**2``). Residual sizes count nonzero canonical
-    values; the candidate is flat iff all residuals are zero.
+    ``n_max``. The families are the two sides of the curvature of the
+    truncated candidate (:func:`_curvature_sizes`): its bracket side is
+    minus ``sum_{i+j-1=n} b_i{b_j}``, its operator side the family with one
+    ``b_m`` and ``m`` operator components. Each family is reported at every
+    arity its terms reach, ``i + j - 1`` for ``i, j`` in ``b`` and every sum
+    of ``m`` arities of ``r`` for ``m`` in ``b``, also where they cancel.
+    Residual sizes count nonzero canonical values; the candidate is flat
+    iff all residuals are zero. Oracle: ``mc_residual_by_hand`` in
+    ``tests/oracles.py``, both families expanded brace by brace.
 
     Dropping a nonzero component would leave equations that the candidate
     enters unevaluated, so a flat verdict would mean nothing: ``n_max``
@@ -896,67 +887,26 @@ def mc_residual(cand: MaurerCartanCandidate, n_max: int) -> MCReport:
         )
     b = {a: h for a, h in cand.b.items() if a <= n_max}
     r = {a: h for a, h in cand.r.items() if a <= n_max}
-    bracket_res: dict[int, int] = {}
-    for n in range(1, 2 * n_max):
-        acc = None
-        for j in range(1, n + 1):
-            i = n - j + 1
-            if i in b and j in b:
-                term = shuffle_brace(b[i], [b[j]])
-                acc = term if acc is None else acc.add(term)
-        if acc is not None:
-            bracket_res[n] = sum(len(gv) for gv in acc.values.values())
-    operator_res: dict[int, int] = {}
-    for n in range(1, n_max * n_max + 1):
-        acc = None
-        for parts in range(1, n + 1):
-            if parts not in b:
-                continue
-            for comp in _compositions(n - parts, parts):
-                rs = [c + 1 for c in comp]
-                if any(a not in r for a in rs):
-                    continue
-                srs = [r[a].suspend_output() for a in rs]
-                for t in range(parts + 1):
-                    inner = shuffle_brace(b[parts], srs[t:])
-                    for j in range(t - 1, -1, -1):
-                        inner = shuffle_brace(srs[j], [inner])
-                    term = inner.scale((-1) ** (t % 2))
-                    acc = term if acc is None else acc.add(term)
-        if acc is not None:
-            operator_res[n] = sum(len(gv) for gv in acc.values.values())
-    ok = all(v == 0 for v in bracket_res.values()) and all(
-        v == 0 for v in operator_res.values()
-    )
+    lie, njo = _curvature_sizes(cand.space, CNjLElement(list(b.values()), list(r.values())))
+    bracket_res = {n: lie.get(n, 0) for n in sorted({i + j - 1 for i in b for j in b})}
+    reached = {sum(rs) for m in b for rs in combinations_with_replacement(r, m)}
+    operator_res = {n: njo.get(n, 0) for n in sorted(reached)}
+    ok = not any(bracket_res.values()) and not any(operator_res.values())
     return MCReport(n_max, bracket_res, operator_res, ok)
 
 
-def graded_lie_on_plain_side(
-    nu: SuspendedHom, f: SuspendedHom, g: SuspendedHom
-) -> SuspendedHom:
-    """The binary bracket induced on plain-valued elements once the bracket
-    element is fixed: six brace terms with arity-driven signs (stated here
-    for an ungraded base space)."""
-    if f.sv_valued or g.sv_valued:
-        raise ValueError("expects plain-valued elements")
-    n, k = f.arity, g.arity
-    sf, sg = f.suspend_output(), g.suspend_output()
-
-    def sgn(e: int) -> int:
-        return -1 if e % 2 else 1
-
-    terms = [
-        shuffle_brace(nu, [sf, sg]).desuspend_output().scale(sgn(n)),
-        shuffle_brace(f, [shuffle_brace(nu, [sg])]),
-        shuffle_brace(f, [shuffle_brace(sg, [nu])]).scale(sgn(k)),
-        shuffle_brace(nu, [sg, sf]).desuspend_output().scale(sgn(n * k + k + 1)),
-        shuffle_brace(g, [shuffle_brace(nu, [sf])]).scale(-sgn(n * k)),
-        shuffle_brace(g, [shuffle_brace(sf, [nu])]).scale(sgn(n * k + n + 1)),
-    ]
-    out = terms[0]
-    for t in terms[1:]:
-        out = out.add(t)
-    return out
+def _curvature_sizes(
+    space: GradedSpace, alpha: CNjLElement
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Nonzero canonical values per side and arity of the curvature
+    ``sum_{k >= 1} (-1)^(k(k-1)/2) / k! * l(alpha, ..., alpha)``, the
+    :meth:`NjlLInfty._alpha_expansion` with an empty tail."""
+    sides = NjlLInfty(space)._alpha_expansion(_AlphaBraces(alpha), []).collect()
+    lie, njo = (
+        {a: sum(len(gv) for gv in h.values.values()) for a, h in side.items()}
+        for side in sides
+    )
+    return lie, njo
 
 
 @dataclass(frozen=True)
@@ -993,19 +943,12 @@ class LInftyReport:
 
 def linfty_validate(alg: LInftyAlgebra, n_max: int) -> LInftyReport:
     """Check the defining quadratic identities
-    ``sum_j b_{n-j+1}{b_j} = 0`` for every ``n <= n_max``."""
-    residuals: dict[int, int] = {}
-    for n in range(1, n_max + 1):
-        acc = None
-        for j in range(1, n + 1):
-            i = n - j + 1
-            if i in alg.operations and j in alg.operations:
-                term = shuffle_brace(alg.operations[i], [alg.operations[j]])
-                acc = term if acc is None else acc.add(term)
-        residuals[n] = (
-            0 if acc is None else sum(len(gv) for gv in acc.values.values())
-        )
-    return LInftyReport(n_max, residuals, all(v == 0 for v in residuals.values()))
+    ``sum_j b_{n-j+1}{b_j} = 0`` for every ``n <= n_max``: the bracket side
+    of the curvature of the operations (:func:`_curvature_sizes`). Oracle:
+    ``linfty_residuals_by_hand`` in ``tests/oracles.py``."""
+    lie, _ = _curvature_sizes(alg.space, CNjLElement(lie=list(alg.operations.values())))
+    residuals = {n: lie.get(n, 0) for n in range(1, n_max + 1)}
+    return LInftyReport(n_max, residuals, not any(residuals.values()))
 
 
 def njl_generalized_jacobi(
@@ -1067,7 +1010,7 @@ def _twisted_complex(algebra: LieAlgebra, p: Endomorphism) -> LinearComplex:
             e = CNjLElement(lie=[SuspendedHom(space, n, 1 - n, True, value)])
         else:
             e = CNjLElement(njo=[SuspendedHom(space, n - 1, 1 - n, False, value)])
-        lie, njo = structure._twisted_l1(table, e, None).collect()
+        lie, njo = structure._alpha_expansion(table, [e]).collect()
         out: dict[tuple, Fraction] = {}
         for part_tag, arity, part in (("lie", n + 1, lie), ("njo", n, njo)):
             for a, h in part.items():

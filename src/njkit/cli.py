@@ -148,13 +148,23 @@ def _expect_int(data: Mapping, key: str, where: str, minimum: int) -> int:
 
 
 def _index(text: str) -> int:
-    """An integer index in a key: ASCII digits with an optional sign, as
-    ``int`` reads them. ``int`` alone also takes ``_`` separators and the
-    digits of other scripts, which the grammar excludes."""
+    """An integer index in a key, an integer flag or ``NJK_SEED``: ASCII
+    digits with an optional sign, as ``int`` reads them. ``int`` alone also
+    takes ``_`` separators and the digits of other scripts, which the
+    grammar excludes."""
     s = text.strip()
     if not (s.isascii() and s.lstrip("+-").isdigit()):
         raise ValueError(f"not an index: {text!r}")
     return int(s)
+
+
+def _int_flag(text: str) -> int:
+    """The argparse type of the integer flags: :func:`_index`, refused in
+    the words argparse uses for ``type=int``."""
+    try:
+        return _index(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _rational(value: Any, where: str) -> Rational:
@@ -753,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     ``parse_args`` keeps no state between calls."""
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--seed", type=_int_flag, default=None)
     common.add_argument("--quiet", action="store_true")
 
     parser = _Parser(prog="njk", description=__doc__.splitlines()[0])
@@ -765,11 +775,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", parents=[common])
     p.add_argument("--complex", required=True, choices=("ce", "njo", "njl"))
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_int_flag, default=3)
     p.add_argument("path")
 
     p = sub.add_parser("mc", parents=[common])
-    p.add_argument("--n-max", type=int, default=2)
+    p.add_argument("--n-max", type=_int_flag, default=2)
     p.add_argument("path")
 
     p = sub.add_parser("fn-bracket", parents=[common])
@@ -779,15 +789,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
 
     p = sub.add_parser("poincare", parents=[common])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--max-poly-deg", type=int, default=2)
+    p.add_argument("--n", type=_int_flag, default=2)
+    p.add_argument("--max-poly-deg", type=_int_flag, default=2)
 
     p = sub.add_parser("algebroid", parents=[common])
     p.add_argument("action", choices=("phi", "njld", "mc"))
     p.add_argument("path")
 
     p = sub.add_parser("les", parents=[common])
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_int_flag, default=3)
     p.add_argument("path")
 
     return parser
@@ -800,7 +810,7 @@ def _resolve_seed(raw: int | None) -> int:
     if env is None:
         return 0
     try:
-        return int(env)
+        return _index(env)
     except ValueError:
         raise InputError("NJK_SEED must be an integer") from None
 

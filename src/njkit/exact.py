@@ -151,22 +151,19 @@ def chi_sign(sigma: Permutation, degrees: Sequence[int]) -> int:
     return sigma.sign() * koszul_sign(sigma, degrees)
 
 
-def _shuffle_images(block_sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Yield image tuples of permutations increasing on each position block."""
-    total = sum(block_sizes)
-    universe = tuple(range(1, total + 1))
-
-    def rec(remaining: tuple[int, ...], blocks: Sequence[int]) -> Iterator[tuple[int, ...]]:
-        if not blocks:
-            yield ()
-            return
-        k = blocks[0]
-        for chosen in combinations(remaining, k):
-            rest = tuple(x for x in remaining if x not in chosen)
-            for tail in rec(rest, blocks[1:]):
-                yield chosen + tail
-
-    yield from rec(universe, [k for k in block_sizes if k > 0])
+def _shuffle_images(
+    remaining: tuple[int, ...], blocks: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """Yield image tuples of permutations increasing on each position
+    block: the first block takes ``blocks[0]`` of ``remaining`` in
+    increasing order, the later blocks share the rest."""
+    if not blocks:
+        yield ()
+        return
+    for chosen in combinations(remaining, blocks[0]):
+        rest = tuple(x for x in remaining if x not in chosen)
+        for tail in _shuffle_images(rest, blocks[1:]):
+            yield chosen + tail
 
 
 def enumerate_shuffles(block_sizes: Sequence[int]) -> list[Permutation]:
@@ -178,7 +175,8 @@ def enumerate_shuffles(block_sizes: Sequence[int]) -> list[Permutation]:
     >>> [p.images for p in enumerate_shuffles((2, 1))]
     [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
     """
-    images = sorted(_shuffle_images(block_sizes))
+    universe = tuple(range(1, sum(block_sizes) + 1))
+    images = sorted(_shuffle_images(universe, [k for k in block_sizes if k > 0]))
     return [Permutation(t) for t in images]
 
 

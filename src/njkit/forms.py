@@ -7,10 +7,10 @@ section-valued forms of :mod:`njkit.algebroid` with base dimension and rank
 both ``n``, and the Lie bracket of vector fields, the Frolicher-Nijenhuis
 bracket and the torsion of a (1,1)-form are the algebroid operations on
 ``trivial_algebroid(n)``. What is specific to R^n lives here: the exterior
-derivative, the insertion operator, the Lie derivative, and an explicit
-contracting homotopy that verifies the vanishing of the twisted cohomology
-of the diagonal operator ``diag(x1, ..., xn)`` degree slice by degree
-slice. All operations are exact.
+derivative, the insertion operator, and an explicit contracting homotopy
+that verifies the vanishing of the twisted cohomology of the diagonal
+operator ``diag(x1, ..., xn)`` degree slice by degree slice. All
+operations are exact.
 """
 
 from __future__ import annotations
@@ -138,24 +138,6 @@ def interior_product(K: VectorValuedForm, beta: ScalarForm) -> ScalarForm:
         if not acc.is_zero():
             out[T] = acc
     return ScalarForm(n, deg, out)
-
-
-def lie_derivative(K: VectorValuedForm, beta: ScalarForm) -> ScalarForm:
-    """Lie derivative of a scalar form along a vector-valued form.
-
-    The graded commutator ``i_K d - (-1)^(k-1) d i_K`` for ``K`` of form
-    degree ``k``; for a plain vector field this is the Cartan formula
-    ``i_X d + d i_X``.
-    """
-    _check_same_base(K, beta)
-    k = K.form_degree
-    first = interior_product(K, de_rham_d(beta))
-    if beta.degree == 0:
-        # i_K vanishes on functions, so the commutator's second term drops.
-        return first
-    second = de_rham_d(interior_product(K, beta))
-    sign = -1 if (k - 1) % 2 else 1
-    return first.sub(second.scale(sign))
 
 
 def fn_bracket(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:

@@ -21,7 +21,9 @@ composed action on generators), the exterior derivative from its
 coordinate formula (against the odd field of the tangent algebroid), and
 the Richardson-Nijenhuis bracket of vector-valued forms
 from insertions (against the brace bracket of ``njkit.braces`` on constant
-forms).
+forms). The Lie derivative of scalar forms (the Cartan formula, which the
+definition of the Frolicher-Nijenhuis bracket uses) and the anchor acting on
+base functions live only here.
 
 Brace side: the multi-argument shuffle brace summed straight from its
 definition, over ordered disjoint input subsets with a Koszul sign found by
@@ -29,6 +31,14 @@ bubbling, against the pruned insertion in ``njkit.braces``; and each column
 of the twisted differential expanded through the generic ``NjlLInfty.l``,
 one ``l([alpha] * i + [x])`` per ``i``, against ``_twisted_complex``, which
 computes the brace terms that read only ``alpha`` once per complex.
+
+Maurer-Cartan side: the bracket family ``sum_{i+j-1=n} b_i{b_j}`` and the
+operator family, one nested brace chain per ordered choice of operator
+components, expanded brace by brace, against the curvature that
+``mc_residual`` and ``linfty_validate`` read off the one alpha-expansion of
+``NjlLInfty``; the six-term expansion of the bracket that the structure
+element induces on plain-valued maps, against ``NjlLInfty.l_tagged``; and
+the inverses of the suspension identifications, which only tests use.
 """
 
 from __future__ import annotations
@@ -37,14 +47,16 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import njkit.algebroid
 from njkit.algebroid import (
     AlgebroidForm,
     GradedField,
     PolyAlgebroid,
+    _anchor_image,
     _antisymmetrized,
+    _check_section,
     algebroid_fn_bracket,
     b_from_field,
     homological_field_q,
@@ -52,16 +64,26 @@ from njkit.algebroid import (
     section_bracket,
     trivial_algebroid,
 )
-from njkit.braces import CNjLElement, NjlLInfty, SuspendedHom, canonical_tuples
+from njkit.braces import (
+    CNjLElement,
+    LInftyAlgebra,
+    LInftyReport,
+    MaurerCartanCandidate,
+    MCReport,
+    NjlLInfty,
+    SuspendedHom,
+    canonical_tuples,
+    shuffle_brace,
+)
 from njkit.cohomology import Cochain, PairCochain, _complexes
 from njkit.exact import Permutation, SparseMatrix, enumerate_shuffles
 from njkit.forms import (
     ScalarForm,
     VectorValuedForm,
+    _check_same_base,
     _diagonal_differential,
     de_rham_d,
     interior_product,
-    lie_derivative,
     poincare_h,
 )
 from njkit.lie import (
@@ -230,6 +252,35 @@ def oracle_matrix(
         for row, value in coords.items():
             m.set(row, col, value)
     return m
+
+
+def lie_derivative(K: VectorValuedForm, beta: ScalarForm) -> ScalarForm:
+    """Lie derivative of a scalar form along a vector-valued form.
+
+    The graded commutator ``i_K d - (-1)^(k-1) d i_K`` for ``K`` of form
+    degree ``k``; for a plain vector field this is the Cartan formula
+    ``i_X d + d i_X``.
+    """
+    _check_same_base(K, beta)
+    k = K.form_degree
+    first = interior_product(K, de_rham_d(beta))
+    if beta.degree == 0:
+        # i_K vanishes on functions, so the commutator's second term drops.
+        return first
+    second = de_rham_d(interior_product(K, beta))
+    sign = -1 if (k - 1) % 2 else 1
+    return first.sub(second.scale(sign))
+
+
+def anchor_apply(A: PolyAlgebroid, X: AlgebroidForm, h: Poly) -> Poly:
+    """Apply the anchor image of a section to a base function."""
+    _check_section(A, X)
+    if h.n_vars != A.base_dim:
+        raise ValueError("function variable count mismatch")
+    acc = Poly.zero(A.base_dim)
+    for alpha, v in _anchor_image(A, X).items():
+        acc = acc.add(v.mul(h.partial(alpha)))
+    return acc
 
 
 def fn_bracket_decomposable(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
@@ -716,3 +767,152 @@ def twisted_column_by_l(
                 for b, v in gv.items():
                     out[(part_tag, args, b)] = v
     return out
+
+
+def _ungraded_dim(h: SuspendedHom) -> int:
+    dims = dict(h.space.dims)
+    if set(dims) != {1}:
+        raise ValueError("not a suspension of an ungraded space")
+    return dims[1]
+
+
+def _suspension_to_cochain(h: SuspendedHom, sv_valued: bool) -> Cochain:
+    """Inverse of the suspension identifications for the given flavour."""
+    dim = _ungraded_dim(h)
+    if h.sv_valued != sv_valued:
+        raise ValueError(f"expected a {'suspended' if sv_valued else 'plain'}-valued map")
+    values = {}
+    for args, gv in h.values.items():
+        key = tuple(i for _, i in args)
+        vec = [Fraction(0)] * dim
+        for (_, j), v in gv.items():
+            vec[j] = v
+        values[key] = tuple(vec)
+    return Cochain(h.arity, dim, dim, values)
+
+
+def from_suspended(sf: SuspendedHom) -> Cochain:
+    """Inverse of ``njkit.braces.to_suspended``."""
+    return _suspension_to_cochain(sf, True)
+
+
+def plain_to_cochain(h: SuspendedHom) -> Cochain:
+    """Inverse of ``njkit.braces.cochain_to_plain``."""
+    return _suspension_to_cochain(h, False)
+
+
+def graded_lie_on_plain_side(
+    nu: SuspendedHom, f: SuspendedHom, g: SuspendedHom
+) -> SuspendedHom:
+    """The binary bracket induced on plain-valued elements once the bracket
+    element is fixed: six brace terms with arity-driven signs (stated here
+    for an ungraded base space). It is ``l_3(nu; f, g)`` of ``NjlLInfty``."""
+    if f.sv_valued or g.sv_valued:
+        raise ValueError("expects plain-valued elements")
+    n, k = f.arity, g.arity
+    sf, sg = f.suspend_output(), g.suspend_output()
+
+    def sgn(e: int) -> int:
+        return -1 if e % 2 else 1
+
+    terms = [
+        shuffle_brace(nu, [sf, sg]).desuspend_output().scale(sgn(n)),
+        shuffle_brace(f, [shuffle_brace(nu, [sg])]),
+        shuffle_brace(f, [shuffle_brace(sg, [nu])]).scale(sgn(k)),
+        shuffle_brace(nu, [sg, sf]).desuspend_output().scale(sgn(n * k + k + 1)),
+        shuffle_brace(g, [shuffle_brace(nu, [sf])]).scale(-sgn(n * k)),
+        shuffle_brace(g, [shuffle_brace(sf, [nu])]).scale(sgn(n * k + n + 1)),
+    ]
+    out = terms[0]
+    for t in terms[1:]:
+        out = out.add(t)
+    return out
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    if total < 0:
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def bracket_family(b: Mapping[int, SuspendedHom], top: int) -> dict[int, SuspendedHom]:
+    """``sum_{i+j-1=n} b_i{b_j}`` for each ``n <= top`` that a pair of
+    components reaches, one brace per ordered pair."""
+    family = {}
+    for n in range(1, top + 1):
+        acc = None
+        for j in range(1, n + 1):
+            i = n - j + 1
+            if i in b and j in b:
+                term = shuffle_brace(b[i], [b[j]])
+                acc = term if acc is None else acc.add(term)
+        if acc is not None:
+            family[n] = acc
+    return family
+
+
+def operator_family(
+    b: Mapping[int, SuspendedHom], r: Mapping[int, SuspendedHom], top: int
+) -> dict[int, SuspendedHom]:
+    """For each ``n <= top`` that some term reaches, the sum over ``m`` in
+    ``b``, over ordered choices ``r_{a_1}, ..., r_{a_m}`` with
+    ``a_1 + ... + a_m = n`` and over ``t = 0..m`` of
+    ``(-1)^t sr_1{...sr_t{b_m{sr_{t+1}, ..., sr_m}}}``, with ``sr`` the
+    suspended operator components: one nested brace chain per term."""
+    family = {}
+    for n in range(1, top + 1):
+        acc = None
+        for parts in range(1, n + 1):
+            if parts not in b:
+                continue
+            for comp in _compositions(n - parts, parts):
+                rs = [c + 1 for c in comp]
+                if any(a not in r for a in rs):
+                    continue
+                srs = [r[a].suspend_output() for a in rs]
+                for t in range(parts + 1):
+                    inner = shuffle_brace(b[parts], srs[t:])
+                    for j in range(t - 1, -1, -1):
+                        inner = shuffle_brace(srs[j], [inner])
+                    term = inner.scale((-1) ** (t % 2))
+                    acc = term if acc is None else acc.add(term)
+        if acc is not None:
+            family[n] = acc
+    return family
+
+
+def _size(h: SuspendedHom | None) -> int:
+    return 0 if h is None else sum(len(gv) for gv in h.values.values())
+
+
+def mc_families(
+    cand: MaurerCartanCandidate, n_max: int
+) -> tuple[dict[int, SuspendedHom], dict[int, SuspendedHom]]:
+    """Both Maurer-Cartan families of the candidate truncated at ``n_max``:
+    the bracket family up to ``2*n_max - 1``, the operator family up to
+    ``n_max**2``."""
+    b = {a: h for a, h in cand.b.items() if a <= n_max}
+    r = {a: h for a, h in cand.r.items() if a <= n_max}
+    return bracket_family(b, 2 * n_max - 1), operator_family(b, r, n_max * n_max)
+
+
+def mc_residual_by_hand(cand: MaurerCartanCandidate, n_max: int) -> MCReport:
+    """The report of ``mc_residual`` from :func:`mc_families`, for an
+    ``n_max`` that keeps every nonzero component."""
+    bracket, operator = mc_families(cand, n_max)
+    bracket_res = {n: _size(h) for n, h in bracket.items()}
+    operator_res = {n: _size(h) for n, h in operator.items()}
+    ok = not any(bracket_res.values()) and not any(operator_res.values())
+    return MCReport(n_max, bracket_res, operator_res, ok)
+
+
+def linfty_residuals_by_hand(alg: LInftyAlgebra, n_max: int) -> LInftyReport:
+    """The report of ``linfty_validate`` from :func:`bracket_family`."""
+    family = bracket_family(alg.operations, n_max)
+    residuals = {n: _size(family.get(n)) for n in range(1, n_max + 1)}
+    return LInftyReport(n_max, residuals, not any(residuals.values()))

@@ -31,7 +31,6 @@ from njkit.algebroid import (
     algebroid_over_point,
     algebroid_torsion,
     algebroid_torsion_coefficients,
-    anchor_apply,
     b_from_field,
     delta_njld,
     field_apply,
@@ -53,6 +52,7 @@ from njkit.forms import (
 )
 from njkit.lie import Endomorphism, LieAlgebra, nijenhuis_torsion, vector
 from oracles import (
+    anchor_apply,
     commutator_shuffle_expansion,
     de_rham_coordinates,
     fn_bracket_decomposable,

@@ -9,6 +9,7 @@ the suspended-side computations, and vice versa.
 
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -21,10 +22,9 @@ from njkit.braces import (
     MaurerCartanCandidate,
     NjlLInfty,
     SuspendedHom,
+    _AlphaBraces,
     canonical_tuples,
     cochain_to_plain,
-    from_suspended,
-    graded_lie_on_plain_side,
     linfty_validate,
     mc_candidate,
     mc_residual,
@@ -32,14 +32,13 @@ from njkit.braces import (
     njl_linfty,
     njl_twisted_betti,
     nu_from_algebra,
-    plain_to_cochain,
     rn_bracket,
     shuffle_brace,
     tau_from_operator,
     to_suspended,
 )
 from njkit.cohomology import Cochain, betti, delta_lie, delta_njo, psi
-from njkit.exact import Permutation, chi_sign, koszul_sign
+from njkit.exact import Permutation, chi_sign, enumerate_shuffles, koszul_sign
 from njkit.lie import (
     Endomorphism,
     LieAlgebra,
@@ -55,7 +54,15 @@ from njkit.lie import (
 
 import pytest
 
-from oracles import brace_subset_sum
+from oracles import (
+    brace_subset_sum,
+    from_suspended,
+    graded_lie_on_plain_side,
+    linfty_residuals_by_hand,
+    mc_families,
+    mc_residual_by_hand,
+    plain_to_cochain,
+)
 
 
 def sl2() -> LieAlgebra:
@@ -122,6 +129,19 @@ def test_suspended_hom_rejects_bad_data():
         SuspendedHom(space, 2, -1, True, {((1, 0), (1, 0)): {(1, 0): Fraction(1)}})
     with pytest.raises(ValueError):  # inhomogeneous output degree
         SuspendedHom(space, 1, 1, True, {((1, 0),): {(1, 0): Fraction(1)}})
+
+
+def test_mc_candidate_rejects_bad_components():
+    # Every component of both families is checked, also where b and r
+    # share an arity, and each must have total degree -1: the Maurer-Cartan
+    # families and the curvature agree only there.
+    rng = random.Random(5)
+    tau = _random_hom(rng, MIXED, 1, -1, False)
+    for bad in (_random_hom(rng, MIXED, 2, -1, True), _random_hom(rng, MIXED, 1, 0, True)):
+        with pytest.raises(ValueError, match="wrong arity|total degree -1"):
+            MaurerCartanCandidate(MIXED, {1: bad}, {1: tau})
+    with pytest.raises(ValueError, match="total degree -1"):
+        MaurerCartanCandidate(MIXED, {}, {1: _random_hom(rng, MIXED, 1, 0, False)})
 
 
 def test_evaluation_is_koszul_symmetric():
@@ -659,6 +679,113 @@ def test_mc_residual_iff_validators():
     for alg, p in cases:
         valid = validate_lie(alg).ok and validate_nijenhuis(alg, p).ok
         assert mc_residual(mc_candidate(alg, p), 2).ok == valid
+
+
+def _random_graded_space(rng) -> GradedSpace:
+    dims = {d: rng.randint(0, 2) for d in (0, 1, 2)}
+    dims[rng.choice((0, 1, 2))] += 1
+    return GradedSpace.from_dims(dims)
+
+
+def _random_family(rng, space, sv_valued) -> dict[int, SuspendedHom]:
+    """Degree -1 components at a random subset of arities 1..3, some zero,
+    some sparse."""
+    family = {}
+    for arity in (1, 2, 3):
+        kind = rng.choice(("absent", "absent", "zero", "sparse", "dense"))
+        if kind == "absent":
+            continue
+        h = _random_hom(rng, space, arity, -1, sv_valued)
+        if kind != "dense":
+            keep = [] if kind == "zero" else rng.sample(sorted(h.values), len(h.values) // 3)
+            h = SuspendedHom(space, arity, -1, sv_valued, {k: h.values[k] for k in keep})
+        family[arity] = h
+    return family
+
+
+def _random_candidates(seed: int, count: int) -> list[MaurerCartanCandidate]:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        space = _random_graded_space(rng)
+        b, r = _random_family(rng, space, True), _random_family(rng, space, False)
+        out.append(MaurerCartanCandidate(space, b, r))
+    return out
+
+
+def test_curvature_is_minus_the_bracket_family_plus_the_operator_family():
+    # The one alpha-expansion with an empty tail, side by side and arity by
+    # arity, against both families expanded brace by brace.
+    for cand in _random_candidates(79, 30):
+        alpha = CNjLElement(list(cand.b.values()), list(cand.r.values()))
+        lie, njo = NjlLInfty(cand.space)._alpha_expansion(_AlphaBraces(alpha), []).collect()
+        bracket, operator = mc_families(cand, 3)
+        for got, family, sign in ((lie, bracket, -1), (njo, operator, 1)):
+            for n in set(got) | set(family):
+                want = family[n].scale(sign).values if n in family else {}
+                assert (got[n].values if n in got else {}) == want, n
+
+
+def test_mc_residual_matches_the_families_expanded_by_hand():
+    for cand in _random_candidates(83, 40):
+        needed = max(
+            (a for fam in (cand.b, cand.r) for a, h in fam.items() if not h.is_zero()), default=1
+        )
+        for n_max in range(needed, 4):
+            got = mc_residual(cand, n_max).to_dict()
+            assert got == mc_residual_by_hand(cand, n_max).to_dict()
+        if needed > 1:
+            with pytest.raises(ValueError, match=f"keeps the candidate whole is {needed}$"):
+                mc_residual(cand, needed - 1)
+
+
+def test_linfty_validate_matches_the_family_expanded_by_hand():
+    rng = random.Random(89)
+    for _ in range(40):
+        space = _random_graded_space(rng)
+        alg = LInftyAlgebra(space, _random_family(rng, space, True))
+        n_max = rng.randint(1, 5)
+        got = linfty_validate(alg, n_max).to_dict()
+        assert got == linfty_residuals_by_hand(alg, n_max).to_dict()
+
+
+def test_rn_bracket_of_a_map_with_itself_is_one_brace():
+    # [a, a] = (1 - (-1)^|a|) a{a}: twice the brace for odd |a|, zero for
+    # even |a|, as the two-brace formula gives on an equal copy.
+    rng = random.Random(97)
+    for total in (-1, 0, 1):
+        a = _random_hom(rng, MIXED, 2, total, True)
+        copy = SuspendedHom(a.space, a.arity, a.total_degree, True, a.values)
+        assert rn_bracket(a, a) == rn_bracket(a, copy)
+        assert rn_bracket(a, a) == shuffle_brace(a, [a]).scale(2 if total % 2 else 0)
+
+
+def _sl2_semidirect() -> NijenhuisLieAlgebra:
+    base = NijenhuisLieAlgebra(sl2(), Endomorphism.diagonal([1, 1, 2]))
+    return semidirect_nijenhuis(base, adjoint_nijenhuis(base))
+
+
+_GARBAGE_FREE = {
+    "njl_twisted_betti": lambda: njl_twisted_betti(sl2(), Endomorphism.diagonal([2, 5, 2]), 2),
+    "mc_residual": lambda: mc_residual(
+        mc_candidate(_sl2_semidirect().algebra, _sl2_semidirect().operator), 2
+    ),
+    "shuffle_brace": lambda: shuffle_brace(nu_from_algebra(sl2()), [nu_from_algebra(sl2())]),
+    "enumerate_shuffles": lambda: enumerate_shuffles((2, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GARBAGE_FREE))
+def test_brace_routes_leave_no_cyclic_garbage(name):
+    # A recursive closure refers to itself, so each call that builds one
+    # leaves a reference cycle for the cyclic collector.
+    gc.collect()
+    gc.disable()
+    try:
+        _GARBAGE_FREE[name]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_njl_linfty_two_lie_arguments_is_rn_bracket():

@@ -376,6 +376,39 @@ def test_seed_resolution(capsys, monkeypatch):
     capsys.readouterr()
 
 
+_NON_ASCII_INTEGER_FLAGS = {
+    "max-degree-underscore": (
+        ["cohomology", "--complex", "ce", "--max-degree", "1_0", _fix("sl2.json")],
+        None,
+    ),
+    "n-arabic-indic": (["poincare", "--n", "\u0662"], None),
+    "seed-fullwidth": (["check", "lie", _fix("sl2.json"), "--seed", "\uff11\uff12"], None),
+    "env-seed-underscore": (["check", "lie", _fix("sl2.json")], "1_000"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NON_ASCII_INTEGER_FLAGS))
+def test_integer_flags_follow_the_document_grammar(capsys, monkeypatch, kind):
+    # The grammar of integer keys: ASCII digits and a sign, no "_"
+    # separators and no digits of other scripts.
+    argv, env_seed = _NON_ASCII_INTEGER_FLAGS[kind]
+    if env_seed is None:
+        monkeypatch.delenv("NJK_SEED", raising=False)
+    else:
+        monkeypatch.setenv("NJK_SEED", env_seed)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_negative_seed_flag_still_parses(capsys, monkeypatch):
+    monkeypatch.delenv("NJK_SEED", raising=False)
+    code, report = _run(capsys, "check", "lie", _fix("sl2.json"), "--seed", "-3")
+    assert code == 0 and report["seed"] == -3
+
+
 def test_quiet_and_text_formats(capsys):
     code = main(["check", "lie", _fix("sl2.json"), "--quiet"])
     assert code == 0

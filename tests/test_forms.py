@@ -16,7 +16,7 @@ from itertools import combinations
 
 import pytest
 
-from njkit.braces import from_suspended, rn_bracket, to_suspended
+from njkit.braces import rn_bracket, to_suspended
 from njkit.cohomology import Cochain
 from njkit.exact import enumerate_shuffles
 from njkit.forms import (
@@ -30,11 +30,16 @@ from njkit.forms import (
     fn_betti,
     fn_bracket,
     interior_product,
-    lie_derivative,
     nijenhuis_torsion_form,
     poincare_h,
 )
-from oracles import fn_bracket_decomposable, fn_bracket_on_fields, rn_bracket_forms
+from oracles import (
+    fn_bracket_decomposable,
+    fn_bracket_on_fields,
+    from_suspended,
+    lie_derivative,
+    rn_bracket_forms,
+)
 
 
 def _rpoly(rng: random.Random, n: int, max_deg: int = 2, nterms: int = 2) -> Poly:

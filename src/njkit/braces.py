@@ -28,8 +28,10 @@ Conventions (fixed once, everything else derives from them)
   ``sum_{i >= 1} (-1)^(k(k-1)/2) / i! * l(alpha, ..., alpha, *tail)`` with
   ``i`` copies of ``alpha`` and ``k = i + len(tail)``
   (``NjlLInfty._alpha_expansion``): the twisted differential is its tail
-  ``[x]``, and the curvature that ``mc_residual`` and ``linfty_validate``
-  read is its empty tail. The brace terms that read only components of
+  ``[x]``, and the curvature that ``mc_residual`` reads is its empty tail.
+  An L-infinity algebra is a :class:`MaurerCartanCandidate` with no
+  operator components, so its defining identities are the bracket side of
+  ``mc_residual``. The brace terms that read only components of
   ``alpha`` are kept in a table (:class:`_AlphaBraces`): one per call, one
   per twisted complex. ``tests/oracles.py`` keeps the hand expansions.
 """
@@ -46,7 +48,6 @@ from .exact import (
     LinearComplex,
     Permutation,
     chi_sign,
-    enumerate_shuffles,
 )
 from .lie import Endomorphism, LieAlgebra, vector
 from .cohomology import Cochain
@@ -802,15 +803,15 @@ class _AlphaBraces:
         return self._done[key]
 
 
-def njl_linfty(dim: int) -> NjlLInfty:
-    """The structure attached to an ungraded space of the given dimension."""
-    return NjlLInfty(GradedSpace.suspended_ungraded(dim))
-
-
 @dataclass(frozen=True)
 class MaurerCartanCandidate:
     """Arity-indexed families ``b`` (suspended-valued) and ``r``
-    (plain-valued), all of total degree ``-1``."""
+    (plain-valued), all of total degree ``-1``.
+
+    With ``r = {}`` this is an L-infinity algebra given by its suspended
+    structure maps ``b``: :func:`mc_residual` then reports the defining
+    identities ``sum_{i+j-1=n} b_i{b_j} = 0`` as its bracket side, and its
+    operator side is empty."""
 
     space: GradedSpace
     b: Mapping[int, SuspendedHom]
@@ -907,74 +908,6 @@ def _curvature_sizes(
         for side in sides
     )
     return lie, njo
-
-
-@dataclass(frozen=True)
-class LInftyAlgebra:
-    """A homotopy Lie algebra on a finite graded space, given by its
-    suspended structure maps: each operation has total degree ``-1``."""
-
-    space: GradedSpace
-    operations: Mapping[int, SuspendedHom]
-
-    def __post_init__(self) -> None:
-        for arity, op in self.operations.items():
-            if op.arity != arity or not op.sv_valued:
-                raise ValueError("operations must be suspended-valued, keyed by arity")
-            if op.total_degree != -1:
-                raise ValueError("operations must have total degree -1")
-            if op.space != self.space:
-                raise ValueError("space mismatch")
-
-
-@dataclass
-class LInftyReport:
-    n_max: int
-    residuals: dict[int, int]
-    ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "residuals": {str(k): v for k, v in sorted(self.residuals.items())},
-            "ok": self.ok,
-        }
-
-
-def linfty_validate(alg: LInftyAlgebra, n_max: int) -> LInftyReport:
-    """Check the defining quadratic identities
-    ``sum_j b_{n-j+1}{b_j} = 0`` for every ``n <= n_max``: the bracket side
-    of the curvature of the operations (:func:`_curvature_sizes`). Oracle:
-    ``linfty_residuals_by_hand`` in ``tests/oracles.py``."""
-    lie, _ = _curvature_sizes(alg.space, CNjLElement(lie=list(alg.operations.values())))
-    residuals = {n: lie.get(n, 0) for n in range(1, n_max + 1)}
-    return LInftyReport(n_max, residuals, not any(residuals.values()))
-
-
-def njl_generalized_jacobi(
-    structure: NjlLInfty, inputs: Sequence[tuple[str, SuspendedHom]]
-) -> CNjLElement:
-    """Residual of the generalized Jacobi identity on the given homogeneous
-    inputs: zero for a genuine homotopy Lie structure."""
-    n = len(inputs)
-    degrees = [h.total_degree for _, h in inputs]
-    out = CNjLElement()
-    for i in range(1, n + 1):
-        for sigma in enumerate_shuffles((i, n - i)):
-            chi = chi_sign(sigma, degrees)
-            sign = chi * ((-1) ** ((i * (n - i)) % 2))
-            head = [inputs[sigma(t) - 1] for t in range(1, i + 1)]
-            tail = [inputs[sigma(t) - 1] for t in range(i + 1, n + 1)]
-            first = structure.l_tagged(head)
-            if first.is_zero():
-                continue
-            rest = [
-                CNjLElement(lie=[h]) if t == "lie" else CNjLElement(njo=[h])
-                for t, h in tail
-            ]
-            term = structure.l([first] + rest)
-            out = out.add(term.scale(sign))
-    return out
 
 
 def _slice_keys(space: GradedSpace, arity: int) -> list[tuple]:

@@ -7,9 +7,14 @@ the sum over all ``2^n`` argument subsets that receive ``P``. The library
 assembles the same maps from nonzero entries only (``njkit.cohomology``);
 the tests compare the two entry for entry.
 
-Geometric side: the Frolicher-Nijenhuis bracket from the wedge /
-Lie-derivative definition and from the five-sum on general sections
-(against the five-sum on frame index words in ``njkit.algebroid``), the
+Geometric side: the algebroid axioms checked on frames, anchor
+compatibility on frame pairs and the Jacobi identity with polynomial test
+functions (against the one identity ``Q^2 = 0`` that ``validate_algebroid``
+checks), the Nijenhuis torsion from its expanded coefficient formula
+(against ``algebroid_torsion``, assembled from the definition), the
+Frolicher-Nijenhuis bracket from the wedge / Lie-derivative definition and
+from the five-sum on general sections (against the five-sum on frame index
+words in ``njkit.algebroid``), the
 comparison map summed over every subset of slots that receives ``P``
 (against the layered sum of ``phi_map``), the chain-map sweep with
 ``phi_map`` run on every field (against its extension from one ``phi_map``
@@ -35,8 +40,10 @@ computes the brace terms that read only ``alpha`` once per complex.
 Maurer-Cartan side: the bracket family ``sum_{i+j-1=n} b_i{b_j}`` and the
 operator family, one nested brace chain per ordered choice of operator
 components, expanded brace by brace, against the curvature that
-``mc_residual`` and ``linfty_validate`` read off the one alpha-expansion of
-``NjlLInfty``; the six-term expansion of the bracket that the structure
+``mc_residual`` reads off the one alpha-expansion of ``NjlLInfty`` (with no
+operator components the bracket family is the set of L-infinity
+identities); the generalized Jacobi identity of ``NjlLInfty`` summed over
+unshuffles; the six-term expansion of the bracket that the structure
 element induces on plain-valued maps, against ``NjlLInfty.l_tagged``; and
 the inverses of the suspension identifications, which only tests use.
 """
@@ -56,6 +63,7 @@ from njkit.algebroid import (
     PolyAlgebroid,
     _anchor_image,
     _antisymmetrized,
+    _check_operator,
     _check_section,
     algebroid_fn_bracket,
     b_from_field,
@@ -66,8 +74,6 @@ from njkit.algebroid import (
 )
 from njkit.braces import (
     CNjLElement,
-    LInftyAlgebra,
-    LInftyReport,
     MaurerCartanCandidate,
     MCReport,
     NjlLInfty,
@@ -76,7 +82,7 @@ from njkit.braces import (
     shuffle_brace,
 )
 from njkit.cohomology import Cochain, PairCochain, _complexes
-from njkit.exact import Permutation, SparseMatrix, enumerate_shuffles
+from njkit.exact import Permutation, SparseMatrix, chi_sign, enumerate_shuffles
 from njkit.forms import (
     ScalarForm,
     VectorValuedForm,
@@ -281,6 +287,114 @@ def anchor_apply(A: PolyAlgebroid, X: AlgebroidForm, h: Poly) -> Poly:
     for alpha, v in _anchor_image(A, X).items():
         acc = acc.add(v.mul(h.partial(alpha)))
     return acc
+
+
+def validate_algebroid_on_frames(A: PolyAlgebroid) -> ValidationReport:
+    """The algebroid axioms checked on frames, against the ``Q^2 = 0`` check
+    of ``validate_algebroid``.
+
+    Anchor compatibility on every frame pair along every base direction,
+    and the Jacobi identity on frame triples ``(i, j, k)`` with ``i < j``
+    and a polynomial test function of degree at most 2 in the third slot.
+    An anchor record carries the ``x_alpha`` coefficient of
+    ``[rho(e_i), rho(e_j)] - rho([e_i, e_j])``. Where the anchor fails, the
+    test functions also flag triples whose Jacobiator vanishes on frames.
+    """
+    m, n = A.base_dim, A.rank
+    failures: list[dict] = []
+    checked = 0
+    basis = [AlgebroidForm.basis_section(m, n, i) for i in range(1, n + 1)]
+
+    for i, j in combinations(range(1, n + 1), 2):
+        cvec = A.structure_vector(i, j)
+        for alpha in range(1, m + 1):
+            lhs = Poly.zero(m)
+            for k in range(1, n + 1):
+                lhs = lhs.add(cvec[k - 1].mul(A.anchor[k - 1][alpha - 1]))
+            rhs = Poly.zero(m)
+            for beta in range(1, m + 1):
+                rho_i = A.anchor[i - 1][beta - 1]
+                rho_j = A.anchor[j - 1][beta - 1]
+                rhs = rhs.add(rho_i.mul(A.anchor[j - 1][alpha - 1].partial(beta)))
+                rhs = rhs.sub(rho_j.mul(A.anchor[i - 1][alpha - 1].partial(beta)))
+            checked += 1
+            if lhs != rhs:
+                failures.append(
+                    {
+                        "identity": "anchor",
+                        "pair": [i, j],
+                        "component": alpha,
+                        "coefficient": rhs.sub(lhs).format(),
+                    }
+                )
+
+    tests = [Poly.const(m, 1)]
+    tests += [Poly.variable(m, a) for a in range(1, m + 1)]
+    tests += [
+        Poly.variable(m, a).mul(Poly.variable(m, b))
+        for a in range(1, m + 1)
+        for b in range(a, m + 1)
+    ]
+    for i, j in combinations(range(1, n + 1), 2):
+        for k in range(1, n + 1):
+            for h in tests:
+                scaled = basis[k - 1].poly_scale(h)
+                cyc = section_bracket(
+                    A, section_bracket(A, basis[i - 1], basis[j - 1]), scaled
+                )
+                cyc = cyc.add(
+                    section_bracket(A, section_bracket(A, basis[j - 1], scaled), basis[i - 1])
+                )
+                cyc = cyc.add(
+                    section_bracket(A, section_bracket(A, scaled, basis[i - 1]), basis[j - 1])
+                )
+                checked += 1
+                if not cyc.is_zero():
+                    failures.append(
+                        {"identity": "jacobi", "triple": [i, j, k], "test_function": h.format()}
+                    )
+    return ValidationReport("lie-algebroid axioms on frames", not failures, checked, failures)
+
+
+def algebroid_torsion_coefficients(A: PolyAlgebroid, P: AlgebroidForm) -> AlgebroidForm:
+    """The torsion from the expanded coefficient formula, against
+    ``algebroid_torsion``'s assembly from the definition on frame pairs.
+
+    Eight contractions of the operator matrix with the structure functions
+    and the anchor. On the trivial algebroid the four structure terms drop
+    and the classical coordinate formula remains.
+    """
+    _check_operator(A, P)
+    m, n = A.base_dim, A.rank
+
+    def p(i: int, j: int) -> Poly:
+        return P.coefficient((i,), j)
+
+    entries: dict[tuple[tuple[int, ...], int], Poly] = {}
+    for i, j in combinations(range(1, n + 1), 2):
+        for k in range(1, n + 1):
+            acc = Poly.zero(m)
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    acc = acc.add(p(i, a).mul(p(j, b)).mul(A.structure_vector(a, b)[k - 1]))
+                    acc = acc.sub(p(b, k).mul(p(i, a)).mul(A.structure_vector(a, j)[b - 1]))
+                    acc = acc.add(p(a, k).mul(p(b, a)).mul(A.structure_vector(i, j)[b - 1]))
+                    acc = acc.sub(p(a, k).mul(p(j, b)).mul(A.structure_vector(i, b)[a - 1]))
+            for a in range(1, n + 1):
+                for beta in range(1, m + 1):
+                    rho_a = A.anchor[a - 1][beta - 1]
+                    if not rho_a.is_zero():
+                        acc = acc.add(p(i, a).mul(rho_a).mul(p(j, k).partial(beta)))
+                        acc = acc.sub(p(j, a).mul(rho_a).mul(p(i, k).partial(beta)))
+                    rho_i = A.anchor[i - 1][beta - 1]
+                    if not rho_i.is_zero():
+                        acc = acc.sub(p(a, k).mul(rho_i).mul(p(j, a).partial(beta)))
+                    rho_j = A.anchor[j - 1][beta - 1]
+                    if not rho_j.is_zero():
+                        acc = acc.add(p(a, k).mul(rho_j).mul(p(i, a).partial(beta)))
+            if not acc.is_zero():
+                entries[((i, j), k)] = acc
+    return AlgebroidForm(m, n, 2, entries)
 
 
 def fn_bracket_decomposable(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
@@ -769,6 +883,33 @@ def twisted_column_by_l(
     return out
 
 
+def njl_generalized_jacobi(
+    structure: NjlLInfty, inputs: Sequence[tuple[str, SuspendedHom]]
+) -> CNjLElement:
+    """Residual of the generalized Jacobi identity of ``structure`` on the
+    given homogeneous inputs, summed over unshuffles through
+    ``NjlLInfty.l_tagged``: zero for a genuine homotopy Lie structure."""
+    n = len(inputs)
+    degrees = [h.total_degree for _, h in inputs]
+    out = CNjLElement()
+    for i in range(1, n + 1):
+        for sigma in enumerate_shuffles((i, n - i)):
+            chi = chi_sign(sigma, degrees)
+            sign = chi * ((-1) ** ((i * (n - i)) % 2))
+            head = [inputs[sigma(t) - 1] for t in range(1, i + 1)]
+            tail = [inputs[sigma(t) - 1] for t in range(i + 1, n + 1)]
+            first = structure.l_tagged(head)
+            if first.is_zero():
+                continue
+            rest = [
+                CNjLElement(lie=[h]) if t == "lie" else CNjLElement(njo=[h])
+                for t, h in tail
+            ]
+            term = structure.l([first] + rest)
+            out = out.add(term.scale(sign))
+    return out
+
+
 def _ungraded_dim(h: SuspendedHom) -> int:
     dims = dict(h.space.dims)
     if set(dims) != {1}:
@@ -909,10 +1050,3 @@ def mc_residual_by_hand(cand: MaurerCartanCandidate, n_max: int) -> MCReport:
     operator_res = {n: _size(h) for n, h in operator.items()}
     ok = not any(bracket_res.values()) and not any(operator_res.values())
     return MCReport(n_max, bracket_res, operator_res, ok)
-
-
-def linfty_residuals_by_hand(alg: LInftyAlgebra, n_max: int) -> LInftyReport:
-    """The report of ``linfty_validate`` from :func:`bracket_family`."""
-    family = bracket_family(alg.operations, n_max)
-    residuals = {n: _size(family.get(n)) for n in range(1, n_max + 1)}
-    return LInftyReport(n_max, residuals, not any(residuals.values()))

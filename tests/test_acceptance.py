@@ -75,7 +75,11 @@ from njkit.lie import (
     validate_representation,
     vector,
 )
-from oracles import commutator_shuffle_expansion, fn_bracket_decomposable
+from oracles import (
+    commutator_shuffle_expansion,
+    fn_bracket_decomposable,
+    validate_algebroid_on_frames,
+)
 
 
 def _finish(num: int, label: str, failures: list[str]) -> None:
@@ -557,17 +561,23 @@ def _algebroid_fixtures():
     return [(A, True) for A in valid] + [(A, False) for A in invalid]
 
 
+def _anchor_witnesses(report) -> list:
+    return sorted(
+        (f["pair"], f["component"]) for f in report.failures if f["identity"] == "anchor"
+    )
+
+
 def test_criterion_08_algebroid_routes_and_odd_field():
     failures: list[str] = []
     fixtures = _algebroid_fixtures()
     assert len(fixtures) == 10
     for k, (A, expect_valid) in enumerate(fixtures):
         report = validate_algebroid(A)
-        kinds = {f["identity"] for f in report.failures}
-        bracket_ok = not (kinds & {"anchor", "jacobi"})
-        field_ok = "q-squared" not in kinds
-        if bracket_ok != field_ok or "route-agreement" in kinds:
-            failures.append(f"fixture {k}: routes disagree")
+        oracle = validate_algebroid_on_frames(A)
+        if report.ok != oracle.ok:
+            failures.append(f"fixture {k}: Q^2 = 0 and the frame oracle disagree")
+        if _anchor_witnesses(report) != _anchor_witnesses(oracle):
+            failures.append(f"fixture {k}: anchor witnesses differ from the frame oracle")
         if report.ok != expect_valid:
             failures.append(f"fixture {k}: expected valid={expect_valid}")
         Q = homological_field_q(A)

@@ -1,9 +1,10 @@
 """Tests for polynomial Lie algebroids and the shifted-bundle calculus.
 
 Every layer is checked along two independent routes: axiom validation
-(bracket identities vs squaring the odd field), the graded commutator
-(coefficient formula vs composing derivation actions), the extracted
-binary bracket (vs the extended section bracket), the comparison map
+(squaring the odd field vs the bracket identities on frames, witness by
+witness), the graded commutator (coefficient formula vs composing
+derivation actions), the extracted binary bracket (vs the extended
+section bracket), the comparison map
 (vs the operator torsion computed from its definition and from the
 expanded coefficient formula), and the structure-equation residuals.
 Orientation conventions the contracts leave open are frozen here as
@@ -30,7 +31,6 @@ from njkit.algebroid import (
     algebroid_mc_residual,
     algebroid_over_point,
     algebroid_torsion,
-    algebroid_torsion_coefficients,
     b_from_field,
     delta_njld,
     field_apply,
@@ -52,12 +52,15 @@ from njkit.forms import (
 )
 from njkit.lie import Endomorphism, LieAlgebra, nijenhuis_torsion, vector
 from oracles import (
+    algebroid_torsion_coefficients,
     anchor_apply,
     commutator_shuffle_expansion,
     de_rham_coordinates,
     fn_bracket_decomposable,
     fn_bracket_on_sections,
+    validate_algebroid_on_frames,
 )
+from test_acceptance import _algebroid_fixtures
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -267,46 +270,139 @@ def test_section_bracket_leibniz_and_antisymmetry():
 
 
 def test_validate_algebroid_accepts_the_standard_fixtures():
+    # One coefficient of Q^2 per frame pair and base index, and one per
+    # frame triple and fiber index.
     rep = validate_algebroid(trivial_algebroid(2))
-    assert rep.ok and rep.checked == 15
-    assert rep.description == "lie-algebroid axioms (bracket route and odd-field route)"
+    assert rep.ok and rep.checked == 2
+    assert rep.description == "lie-algebroid axioms (Q^2 = 0 for the odd field)"
 
-    assert validate_algebroid(algebroid_over_point(sl2())).checked == 10
+    assert validate_algebroid(algebroid_over_point(sl2())).checked == 3
     assert validate_algebroid(algebroid_over_point(sl2())).ok
-    assert validate_algebroid(affine_line()).checked == 8
+    assert validate_algebroid(affine_line()).checked == 1
     assert validate_algebroid(affine_line()).ok
     assert validate_algebroid(algebroid_over_point(LieAlgebra(2, {}))).ok
 
 
-def test_validate_algebroid_rejects_broken_structures():
-    # Perturb sl2 to [e, f] = h + e: Jacobi fails, so the odd field no
-    # longer squares to zero, and both routes must agree on that.
+def test_frame_oracle_accepts_the_standard_fixtures():
+    rep = validate_algebroid_on_frames(trivial_algebroid(2))
+    assert rep.ok and rep.checked == 14
+    assert validate_algebroid_on_frames(algebroid_over_point(sl2())).checked == 9
+    assert validate_algebroid_on_frames(algebroid_over_point(sl2())).ok
+    assert validate_algebroid_on_frames(affine_line()).checked == 7
+    assert validate_algebroid_on_frames(affine_line()).ok
+    assert validate_algebroid_on_frames(algebroid_over_point(LieAlgebra(2, {}))).ok
+
+
+def _bent_sl2() -> PolyAlgebroid:
+    # sl2 perturbed to [e, f] = h + e: Jacobi fails.
     S = algebroid_over_point(sl2())
-    bad = PolyAlgebroid(
+    return PolyAlgebroid(
         0,
         3,
         S.anchor,
         dict(S.structure)
         | {(2, 3): (Poly.const(0, 1), Poly.const(0, 1), Poly.const(0, 0))},
     )
-    rep = validate_algebroid(bad)
-    assert not rep.ok
-    kinds = sorted({f["identity"] for f in rep.failures})
-    assert kinds == ["jacobi", "q-squared"]
 
-    # Nonzero bracket with a flat anchor on R^2 also breaks anchor
-    # compatibility.
+
+def _crooked_plane() -> PolyAlgebroid:
+    # Nonzero bracket with a flat anchor on R^2 breaks anchor compatibility.
     T = trivial_algebroid(2)
-    crooked = PolyAlgebroid(
-        2, 2, T.anchor, {(1, 2): (Poly.const(2, 1), Poly.zero(2))}
-    )
-    rep = validate_algebroid(crooked)
+    return PolyAlgebroid(2, 2, T.anchor, {(1, 2): (Poly.const(2, 1), Poly.zero(2))})
+
+
+def test_validate_algebroid_rejects_broken_structures():
+    # The Jacobiator of (h, e, f) is -2e.
+    rep = validate_algebroid(_bent_sl2())
     assert not rep.ok
-    assert sorted({f["identity"] for f in rep.failures}) == [
-        "anchor",
-        "jacobi",
-        "q-squared",
+    assert rep.failures == [
+        {"identity": "jacobi", "triple": [1, 2, 3], "component": 2, "coefficient": "-2"}
     ]
+    # [rho(e1), rho(e2)] - rho([e1, e2]) = -d/dx1; rank 2 has no triple.
+    rep = validate_algebroid(_crooked_plane())
+    assert not rep.ok
+    assert rep.failures == [
+        {"identity": "anchor", "pair": [1, 2], "component": 1, "coefficient": "-1"}
+    ]
+
+
+def test_frame_oracle_rejects_broken_structures():
+    rep = validate_algebroid_on_frames(_bent_sl2())
+    assert not rep.ok
+    assert sorted({f["identity"] for f in rep.failures}) == ["jacobi"]
+
+    # The test functions see the failed anchor in the Jacobi identity too.
+    rep = validate_algebroid_on_frames(_crooked_plane())
+    assert not rep.ok
+    assert sorted({f["identity"] for f in rep.failures}) == ["anchor", "jacobi"]
+
+
+def _random_algebroid(rng: random.Random) -> PolyAlgebroid:
+    m, n = rng.randint(0, 2), rng.randint(2, 4)
+    flat = rng.random() < 0.3
+    anchor = tuple(
+        tuple(Poly.zero(m) if flat or rng.random() < 0.5 else _rpoly(rng, m) for _ in range(m))
+        for _ in range(n)
+    )
+    structure = {
+        pair: tuple(
+            _rpoly(rng, m, nterms=1) if rng.random() < 0.5 else Poly.zero(m) for _ in range(n)
+        )
+        for pair in combinations(range(1, n + 1), 2)
+        if rng.random() < 0.7
+    }
+    return PolyAlgebroid(m, n, anchor, structure)
+
+
+def _frame_jacobiators(A: PolyAlgebroid) -> dict[tuple, str]:
+    """Nonzero components of the Jacobiator of each frame triple."""
+    basis = [AlgebroidForm.basis_section(A.base_dim, A.rank, i) for i in range(1, A.rank + 1)]
+
+    def br(X, Y):
+        return section_bracket(A, X, Y)
+
+    out = {}
+    for J in combinations(range(1, A.rank + 1), 3):
+        x, y, z = (basis[i - 1] for i in J)
+        jac = br(br(x, y), z).add(br(br(y, z), x)).add(br(br(z, x), y))
+        for q, poly in jac.components().items():
+            out[(J, q)] = poly.format()
+    return out
+
+
+def _anchor_records(report) -> list:
+    return sorted(
+        (f["pair"], f["component"], f["coefficient"])
+        for f in report.failures
+        if f["identity"] == "anchor"
+    )
+
+
+def test_q_squared_witnesses_match_the_frame_oracle():
+    rng = random.Random(101)
+    cases = [A for A, _ in _algebroid_fixtures()]
+    cases += [_random_algebroid(rng) for _ in range(50)]
+    invalid = 0
+    for k, A in enumerate(cases):
+        rep, oracle = validate_algebroid(A), validate_algebroid_on_frames(A)
+        assert rep.ok == oracle.ok, k
+        invalid += not rep.ok
+        assert _anchor_records(rep) == _anchor_records(oracle), k
+        jacobi = {
+            (tuple(f["triple"]), f["component"]): f["coefficient"]
+            for f in rep.failures
+            if f["identity"] == "jacobi"
+        }
+        assert jacobi == _frame_jacobiators(A), k
+        if _anchor_records(oracle):
+            # The test functions flag more triples where the anchor fails.
+            continue
+        assert {J for J, _ in jacobi} == {
+            tuple(sorted(f["triple"]))
+            for f in oracle.failures
+            if f["identity"] == "jacobi" and len(set(f["triple"])) == 3
+        }, k
+    assert invalid > len(cases) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -18,18 +18,14 @@ from math import factorial
 from njkit.braces import (
     CNjLElement,
     GradedSpace,
-    LInftyAlgebra,
     MaurerCartanCandidate,
     NjlLInfty,
     SuspendedHom,
     _AlphaBraces,
     canonical_tuples,
     cochain_to_plain,
-    linfty_validate,
     mc_candidate,
     mc_residual,
-    njl_generalized_jacobi,
-    njl_linfty,
     njl_twisted_betti,
     nu_from_algebra,
     rn_bracket,
@@ -58,9 +54,9 @@ from oracles import (
     brace_subset_sum,
     from_suspended,
     graded_lie_on_plain_side,
-    linfty_residuals_by_hand,
     mc_families,
     mc_residual_by_hand,
+    njl_generalized_jacobi,
     plain_to_cochain,
 )
 
@@ -595,33 +591,39 @@ def test_bracketing_with_operator_gives_operator_differential():
         assert plain_to_cochain(routed) == delta_njo(nja, nrep, f).scale((-1) ** n)
 
 
+def _linfty(space: GradedSpace, operations: dict) -> MaurerCartanCandidate:
+    # An L-infinity algebra is a candidate without operator components.
+    return MaurerCartanCandidate(space, operations, {})
+
+
 def test_linfty_validate_accepts_dg_structure():
     # A three-term complex with a compatible square-zero bracket, written
     # directly in suspended form.
     space = GradedSpace.from_dims({1: 1, 2: 1, 3: 1})
     b1 = SuspendedHom(space, 1, -1, True, {((2, 0),): {(1, 0): Fraction(1)}})
     b2 = SuspendedHom(space, 2, -1, True, {((2, 0), (2, 0)): {(3, 0): Fraction(1)}})
-    alg = LInftyAlgebra(space, {1: b1, 2: b2})
-    assert linfty_validate(alg, 4).ok
+    report = mc_residual(_linfty(space, {1: b1, 2: b2}), 4)
+    assert report.ok
+    assert report.bracket_residuals == {1: 0, 2: 0, 3: 0}
+    assert report.operator_residuals == {}
 
-    assert linfty_validate(LInftyAlgebra(space, {}), 3).ok
+    assert mc_residual(_linfty(space, {}), 3).ok
 
     # Perturbing the bracket breaks compatibility with the differential.
     b2_bad = b2.add(
         SuspendedHom(space, 2, -1, True, {((1, 0), (2, 0)): {(2, 0): Fraction(1)}})
     )
-    report = linfty_validate(LInftyAlgebra(space, {1: b1, 2: b2_bad}), 3)
+    report = mc_residual(_linfty(space, {1: b1, 2: b2_bad}), 3)
     assert not report.ok
-    assert report.residuals[2] > 0
+    assert report.bracket_residuals[2] > 0
 
 
 def test_linfty_validate_accepts_lie_structure_element():
     nu = nu_from_algebra(sl2())
-    alg = LInftyAlgebra(nu.space, {2: nu})
-    assert linfty_validate(alg, 4).ok
+    assert mc_residual(_linfty(nu.space, {2: nu}), 4).ok
     nub = nu_from_algebra(broken3())
-    report = linfty_validate(LInftyAlgebra(nub.space, {2: nub}), 3)
-    assert not report.ok and report.residuals[3] > 0
+    report = mc_residual(_linfty(nub.space, {2: nub}), 3)
+    assert not report.ok and report.bracket_residuals[3] > 0
 
 
 def test_mc_residual_fixture_examples():
@@ -743,10 +745,12 @@ def test_linfty_validate_matches_the_family_expanded_by_hand():
     rng = random.Random(89)
     for _ in range(40):
         space = _random_graded_space(rng)
-        alg = LInftyAlgebra(space, _random_family(rng, space, True))
-        n_max = rng.randint(1, 5)
-        got = linfty_validate(alg, n_max).to_dict()
-        assert got == linfty_residuals_by_hand(alg, n_max).to_dict()
+        cand = _linfty(space, _random_family(rng, space, True))
+        needed = max((a for a, h in cand.b.items() if not h.is_zero()), default=1)
+        n_max = rng.randint(needed, 5)
+        got = mc_residual(cand, n_max).to_dict()
+        assert got == mc_residual_by_hand(cand, n_max).to_dict()
+        assert got["operator_residuals"] == {}
 
 
 def test_rn_bracket_of_a_map_with_itself_is_one_brace():
@@ -790,7 +794,7 @@ def test_brace_routes_leave_no_cyclic_garbage(name):
 
 def test_njl_linfty_two_lie_arguments_is_rn_bracket():
     rng = random.Random(73)
-    structure = njl_linfty(3)
+    structure = NjlLInfty(GradedSpace.suspended_ungraded(3))
     a = to_suspended(_random_cochain(rng, 2, 3))
     b = to_suspended(_random_cochain(rng, 1, 3))
     out = structure.l_tagged([("lie", a), ("lie", b)])

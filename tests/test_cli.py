@@ -21,6 +21,7 @@ import njkit
 from njkit.cli import (
     InputError,
     RunConfig,
+    _form_json,
     build_parser,
     config_from_args,
     main,
@@ -29,6 +30,7 @@ from njkit.cli import (
     parse_lie_file,
 )
 from njkit.poly import Poly
+from oracles import algebroid_torsion_coefficients
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -77,15 +79,33 @@ def test_check_nijenhuis_and_rep(capsys):
 def test_check_algebroid(capsys):
     code, report = _run(capsys, "check", "algebroid", _fix("tangent2.json"))
     assert code == 0
-    assert report["reports"][0]["checked"] == 15
+    assert report["reports"][0]["checked"] == 2
 
     code, report = _run(capsys, "check", "algebroid", _fix("sl2-point.json"))
     assert code == 0
-    assert report["reports"][0]["checked"] == 10
+    assert report["reports"][0]["checked"] == 3
 
     code, report = _run(capsys, "check", "algebroid", _fix("bad-anchor.json"))
     assert code == 2
     assert report["reports"][0]["ok"] is False
+
+
+def test_check_algebroid_failures_name_their_witness(capsys, monkeypatch):
+    code, report = _run(capsys, "check", "algebroid", _fix("bad-anchor.json"))
+    assert code == 2
+    assert report["reports"][0]["failures"] == [
+        {"identity": "anchor", "pair": [1, 2], "component": 1, "coefficient": "-1"}
+    ]
+
+    # sl2 over a point with [e2, e3] bent to e1 + e2.
+    doc = json.loads((FIXTURES / "sl2-point.json").read_text())
+    doc["structure"]["2,3"] = ["1", "1", "0"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, report = _run(capsys, "check", "algebroid", "-")
+    assert code == 2
+    assert report["reports"][0]["failures"] == [
+        {"identity": "jacobi", "triple": [1, 2, 3], "component": 2, "coefficient": "-2"}
+    ]
 
 
 def test_cohomology_tables(capsys):
@@ -189,6 +209,13 @@ def test_torsion_lie_route(capsys, monkeypatch):
     assert report["torsion"] == {"1,2": ["2", "0", "0"]}
 
 
+def _oracle_torsion(doc: dict) -> dict:
+    """The torsion of an algebroid document by the coefficient-formula
+    oracle, in the printed layout."""
+    inp = parse_algebroid_file(doc)
+    return _form_json(algebroid_torsion_coefficients(inp.algebroid, inp.operator))
+
+
 def test_torsion_forms_and_algebroid_routes(capsys):
     code, report = _run(capsys, "torsion", _fix("operator-form.json"))
     assert code == 0
@@ -198,7 +225,7 @@ def test_torsion_forms_and_algebroid_routes(capsys):
     code, report = _run(capsys, "torsion", _fix("tangent2.json"))
     assert code == 0
     assert report["kind"] == "algebroid"
-    assert report["routes_agree"] is True
+    assert report["torsion"] == _oracle_torsion(json.loads((FIXTURES / "tangent2.json").read_text()))
     assert report["is_zero"] is True
 
 
@@ -217,7 +244,7 @@ def test_torsion_algebroid_nonzero_pin(capsys, monkeypatch):
     code, report = _run(capsys, "torsion", "-")
     assert code == 0
     assert report["is_zero"] is False
-    assert report["routes_agree"] is True
+    assert report["torsion"] == _oracle_torsion(_perturbed_tangent())
     assert report["torsion"]["entries"] == {"1,2|2": "x1^2"}
 
 

@@ -20,6 +20,17 @@ def test_every_exported_name_resolves_and_appears_once():
     assert "fn_bracket_decomposable" not in names
     assert "commutator_from_action" not in names
     assert "rn_bracket_forms" not in names
+    # Second routes that live in tests/oracles.py, and the L-infinity check
+    # that is mc_residual with no operator components.
+    for gone in (
+        "LInftyAlgebra",
+        "LInftyReport",
+        "linfty_validate",
+        "algebroid_torsion_coefficients",
+        "njl_generalized_jacobi",
+        "njl_linfty",
+    ):
+        assert gone not in names
 
 
 def test_runtime_imports_are_stdlib_or_njkit():

@@ -36,9 +36,9 @@ from itertools import combinations, product
 from math import comb
 from typing import Callable, Mapping, Sequence
 
-from .exact import Rational, enumerate_shuffles
+from .exact import Rational, _merge_indices, _sort_indices, enumerate_shuffles
 from .lie import LieAlgebra, ValidationReport
-from .poly import Poly, _check_index_tuple, _merge_indices, _monomials, _sort_indices
+from .poly import Poly, _check_index_tuple, _monomials
 
 
 def _antisymmetrized(
@@ -595,8 +595,10 @@ def graded_commutator(X: GradedField, Y: GradedField) -> GradedField:
     A derivation of the function algebra is fixed by its values on the
     generators, so each coefficient is the composed action of the two
     fields (:func:`field_apply`) on one base coordinate or one odd
-    generator. The test suite keeps the closed-form shuffle expansion of
-    the coefficients as an oracle and holds the two in exact agreement.
+    generator. For ``X is Y`` (the square of the odd field) both orders
+    are the one composite ``X X``. The test suite keeps the closed-form
+    shuffle expansion of the coefficients as an oracle and holds the two in
+    exact agreement.
     """
     _check_same_shape(X, Y)
     m, n = X.base_dim, X.rank
@@ -604,7 +606,7 @@ def graded_commutator(X: GradedField, Y: GradedField) -> GradedField:
 
     def on(generator: FiberForm) -> dict[tuple[int, ...], Poly]:
         upper = field_apply(X, field_apply(Y, generator))
-        lower = field_apply(Y, field_apply(X, generator))
+        lower = upper if X is Y else field_apply(Y, field_apply(X, generator))
         return upper.sub(lower.scale(sign)).entries
 
     a_part = {
@@ -933,36 +935,32 @@ def algebroid_fn_bracket(
     return K._with(entries, deg)
 
 
-def _torsion_on_frames(
-    P: AlgebroidForm, bracket: Callable[[AlgebroidForm, AlgebroidForm], AlgebroidForm]
-) -> AlgebroidForm:
-    """``[PX, PY] - P[PX, Y] - P[X, PY] + P^2[X, Y]`` for the given bracket
-    of sections, assembled on frame pairs."""
+def algebroid_torsion(A: PolyAlgebroid, P: AlgebroidForm) -> AlgebroidForm:
+    """Nijenhuis torsion ``[PX, PY] - P[PX, Y] - P[X, PY] + P^2[X, Y]`` of an
+    operator on sections, from the definition.
+
+    Assembled on frame pairs with :func:`section_bracket`, which assumes no
+    algebroid axiom, so this is the torsion of any candidate, valid or not.
+    The square-of-P term keeps its bracket because frame sections need not
+    commute; on the coordinate frame of the tangent algebroid it vanishes.
+    Oracles in ``tests/oracles.py``: the expanded coefficient formula,
+    ``algebroid_torsion_coefficients``, and the same assembly with the
+    bracket derived from the odd field, ``derived_bracket_torsion``.
+    """
+    _check_operator(A, P)
     m, n = P.base_dim, P.rank
     basis = [AlgebroidForm.basis_section(m, n, i) for i in range(1, n + 1)]
     entries: dict[tuple[tuple[int, ...], int], Poly] = {}
     for i, j in combinations(range(1, n + 1), 2):
         Ei, Ej = basis[i - 1], basis[j - 1]
         Pi, Pj = P.evaluate((Ei,)), P.evaluate((Ej,))
-        value = bracket(Pi, Pj)
-        value = value.sub(P.evaluate((bracket(Pi, Ej),)))
-        value = value.sub(P.evaluate((bracket(Ei, Pj),)))
-        value = value.add(P.evaluate((P.evaluate((bracket(Ei, Ej),)),)))
+        value = section_bracket(A, Pi, Pj)
+        value = value.sub(P.evaluate((section_bracket(A, Pi, Ej),)))
+        value = value.sub(P.evaluate((section_bracket(A, Ei, Pj),)))
+        value = value.add(P.evaluate((P.evaluate((section_bracket(A, Ei, Ej),)),)))
         for q, poly in value.components().items():
             entries[((i, j), q)] = poly
     return P._with(entries, 2)
-
-
-def algebroid_torsion(A: PolyAlgebroid, P: AlgebroidForm) -> AlgebroidForm:
-    """Nijenhuis torsion of an operator on sections, from the definition.
-
-    Assembled on frame pairs. The square-of-P term keeps its bracket
-    because frame sections need not commute; on the coordinate frame of the
-    tangent algebroid it vanishes. Oracle: the expanded coefficient formula,
-    ``algebroid_torsion_coefficients`` in ``tests/oracles.py``.
-    """
-    _check_operator(A, P)
-    return _torsion_on_frames(P, lambda X, Y: section_bracket(A, X, Y))
 
 
 def _require_nijenhuis(A: PolyAlgebroid, P: AlgebroidForm) -> None:
@@ -1175,17 +1173,17 @@ class AlgebroidMCReport:
 def algebroid_mc_residual(A: PolyAlgebroid, P: AlgebroidForm) -> AlgebroidMCReport:
     """Evaluate the two structure equations of a Nijenhuis algebroid pair.
 
-    The first residual squares the odd field. The second expands the brace
-    combination B{P,P} - P(B{P}) + P(P(B)) with the bracket extracted from
-    the odd field, which is the operator torsion computed without assuming
-    the algebroid is valid. Both vanish together exactly when the algebroid
-    axioms hold and the torsion is zero.
+    The first residual squares the odd field. The second is the brace
+    combination B{P,P} - P(B{P}) + P(P(B)) with the bracket B derived from
+    the odd field, which is the operator torsion :func:`algebroid_torsion`;
+    neither assumes the algebroid is valid. Both vanish together exactly
+    when the algebroid axioms hold and the torsion is zero. The expansion
+    through the derived bracket is the oracle ``derived_bracket_torsion``
+    in ``tests/oracles.py``.
     """
-    _check_operator(A, P)
+    torsion_residual = algebroid_torsion(A, P)
     q_field = homological_field_q(A)
     lie_residual = graded_commutator(q_field, q_field)
-    bee = b_from_field(q_field)
-    torsion_residual = _torsion_on_frames(P, lambda X, Y: bee((X, Y)))
     return AlgebroidMCReport(
         lie_residual,
         torsion_residual,

@@ -524,11 +524,14 @@ def _reachable_words(
 def rn_bracket(a: SuspendedHom, b: SuspendedHom) -> SuspendedHom:
     """Graded Lie bracket built from single-argument braces:
     ``[a, b] = a{b} - (-1)^{|a||b|} b{a}`` with the total map degrees, and
-    ``[a, a] = (1 - (-1)^{|a|}) a{a}`` from one brace."""
+    ``[a, a] = (1 - (-1)^{|a|}) a{a}``: one brace for odd ``|a|``, none for
+    even ``|a|``, where it is zero."""
     if not (a.sv_valued and b.sv_valued):
         raise ValueError("the bracket lives on suspended-valued maps")
     if a is b:
-        return shuffle_brace(a, [a]).scale(2 if a.total_degree % 2 else 0)
+        if a.total_degree % 2:
+            return shuffle_brace(a, [a]).scale(2)
+        return SuspendedHom.zero(a.space, 2 * a.arity - 1, 2 * a.total_degree, True)
     sign = -1 if (a.total_degree * b.total_degree) % 2 else 1
     first = shuffle_brace(a, [b])
     second = shuffle_brace(b, [a])
@@ -616,10 +619,10 @@ class NjlLInfty:
     def _term(
         self, tagged: Sequence[tuple[str, SuspendedHom]]
     ) -> tuple[int, str, SuspendedHom, tuple[SuspendedHom, ...]] | None:
-        """``(sign, kind, head, rest)`` with ``l_tagged(tagged)`` equal to
-        ``sign`` times the bracket of ``head`` and ``rest[0]`` (kind
-        ``"lie"``) or the mixed component on ``head`` and ``rest`` (kind
-        ``"njo"``); ``None`` when the component is zero."""
+        """``(sign, kind, head, rest)`` with :meth:`l` on the one-component
+        elements ``tagged`` equal to ``sign`` times the bracket of ``head``
+        and ``rest[0]`` (kind ``"lie"``) or the mixed component on ``head``
+        and ``rest`` (kind ``"njo"``); ``None`` when the component is zero."""
         n_args = len(tagged)
         if n_args < 2:
             return None
@@ -641,14 +644,6 @@ class NjlLInfty:
         if kind == "lie":
             return rn_bracket(head, rest[0])
         return self._l_lie_first(head, list(rest), table)
-
-    def l_tagged(self, tagged: Sequence[tuple[str, SuspendedHom]]) -> CNjLElement:
-        term = self._term(tagged)
-        if term is None:
-            return CNjLElement()
-        sign, kind, head, rest = term
-        out = self._evaluate(kind, head, rest, _AlphaBraces(CNjLElement()))
-        return CNjLElement(**{kind: [out.scale(-1) if sign < 0 else out]})
 
     def _l_lie_first(
         self, sh: SuspendedHom, gs: list[SuspendedHom], table: "_AlphaBraces"

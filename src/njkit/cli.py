@@ -76,18 +76,6 @@ class InputError(ValueError):
     file. Always mapped to exit code 3."""
 
 
-_COMMANDS = (
-    "check",
-    "cohomology",
-    "mc",
-    "fn-bracket",
-    "torsion",
-    "poincare",
-    "algebroid",
-    "les",
-)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One resolved invocation: command, sub-action, inputs and bounds."""
@@ -105,7 +93,7 @@ class RunConfig:
     quiet: bool = False
 
     def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
+        if self.command not in _HANDLERS:
             raise InputError(f"unknown command {self.command!r}")
         if self.output_format not in ("json", "text"):
             raise InputError("format must be 'json' or 'text'")
@@ -449,9 +437,25 @@ def _require(value, field: str):
     return value
 
 
-def _nijenhuis_pair(inp: LieInput) -> tuple[NijenhuisLieAlgebra, NijenhuisRepresentation]:
-    """Assemble the (algebra, module) pair, defaulting to the adjoint."""
+def _valid_pair(
+    inp: LieInput,
+) -> tuple[NijenhuisLieAlgebra, NijenhuisRepresentation] | dict:
+    """The (algebra, module) pair, the module defaulting to the adjoint,
+    once every validity report of the input passes; otherwise the
+    "invalid" payload listing the reports."""
+    reports = [validate_lie(inp.algebra)]
     operator = _require(inp.operator, "nijenhuis")
+    reports.append(validate_nijenhuis(inp.algebra, operator))
+    if inp.representation is not None:
+        reports.append(validate_representation(inp.representation))
+        if inp.rep_operator is not None:
+            reports.append(
+                validate_nijenhuis_representation(
+                    inp.representation, operator, inp.rep_operator
+                )
+            )
+    if not all(r.ok for r in reports):
+        return {"verdict": "invalid", "reports": [r.to_dict() for r in reports]}
     nja = NijenhuisLieAlgebra(inp.algebra, operator)
     if inp.representation is None:
         return nja, adjoint_nijenhuis(nja)
@@ -459,22 +463,6 @@ def _nijenhuis_pair(inp: LieInput) -> tuple[NijenhuisLieAlgebra, NijenhuisRepres
     if rep_op is None:
         rep_op = Endomorphism.diagonal([0] * inp.representation.dim)
     return nja, NijenhuisRepresentation(inp.representation, rep_op)
-
-
-def _validity_reports(inp: LieInput, *, need_operator: bool) -> list:
-    reports = [validate_lie(inp.algebra)]
-    if inp.operator is not None or need_operator:
-        operator = _require(inp.operator, "nijenhuis")
-        reports.append(validate_nijenhuis(inp.algebra, operator))
-    if inp.representation is not None:
-        reports.append(validate_representation(inp.representation))
-        if inp.operator is not None and inp.rep_operator is not None:
-            reports.append(
-                validate_nijenhuis_representation(
-                    inp.representation, inp.operator, inp.rep_operator
-                )
-            )
-    return reports
 
 
 def _cmd_check(config: RunConfig) -> tuple[bool, dict]:
@@ -519,11 +507,10 @@ def _cmd_cohomology(config: RunConfig) -> tuple[bool, dict]:
             inp.representation,
             inp.rep_operator,
         )
-    reports = _validity_reports(inp, need_operator=True)
-    if not all(r.ok for r in reports):
-        return False, {"verdict": "invalid", "reports": [r.to_dict() for r in reports]}
-    nja, nrep = _nijenhuis_pair(inp)
-    table = betti(nja, nrep, config.complex_name, config.max_degree)
+    pair = _valid_pair(inp)
+    if isinstance(pair, dict):
+        return False, pair
+    table = betti(*pair, config.complex_name, config.max_degree)
     return True, {"verdict": "valid", "betti": table.to_dict()}
 
 
@@ -682,11 +669,10 @@ def _cmd_algebroid(config: RunConfig) -> tuple[bool, dict]:
 
 def _cmd_les(config: RunConfig) -> tuple[bool, dict]:
     inp = parse_lie_file(_single_document(config))
-    reports = _validity_reports(inp, need_operator=True)
-    if not all(r.ok for r in reports):
-        return False, {"verdict": "invalid", "reports": [r.to_dict() for r in reports]}
-    nja, nrep = _nijenhuis_pair(inp)
-    table = les_verify(nja, nrep, config.max_degree)
+    pair = _valid_pair(inp)
+    if isinstance(pair, dict):
+        return False, pair
+    table = les_verify(*pair, config.max_degree)
     return table.ok, {"verdict": "valid" if table.ok else "invalid", "les": table.to_dict()}
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .exact import LinearComplex, MappingCone
+from .exact import LinearComplex, MappingCone, _sort_indices
 from .lie import (
     Endomorphism,
     NijenhuisLieAlgebra,
@@ -107,19 +107,11 @@ class Cochain:
         idx = tuple(indices)
         if len(idx) != self.degree:
             raise ValueError("wrong number of arguments")
-        if len(set(idx)) != len(idx):
-            return zero_vector(self.target_dim)
-        sign = 1
-        seq = list(idx)
-        for end in range(len(seq), 1, -1):
-            for t in range(end - 1):
-                if seq[t] > seq[t + 1]:
-                    seq[t], seq[t + 1] = seq[t + 1], seq[t]
-                    sign = -sign
-        base = self.values.get(tuple(seq))
+        ordered = _sort_indices(idx)
+        base = None if ordered is None else self.values.get(ordered[1])
         if base is None:
             return zero_vector(self.target_dim)
-        return vec_scale(sign, base)
+        return vec_scale(ordered[0], base)
 
     def add(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)

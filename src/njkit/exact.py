@@ -3,6 +3,15 @@
 All computation in this package happens over the rationals. ``Rational`` is
 the stdlib :class:`fractions.Fraction`; nothing here ever touches floats.
 
+The combinatorial kernels are permutations with their classical and Koszul
+signs, shuffles, and the one alternating sort of index words
+(``_sort_indices``, with ``_merge_indices`` for two sorted words) that the
+cochains, forms and fields use to key their entries.
+
+``SparseMatrix`` holds the one exact elimination, fraction-free Bareiss on
+the rows with denominators cleared: its pivots give the rank, and
+back-substitution on the same pivots gives a kernel basis.
+
 ``LinearComplex`` is the one graded-complex engine: every differential
 matrix, rank, Betti number, cocycle and boundary of the package's cochain
 complexes comes from it, and ``MappingCone`` builds a cone from the blocks
@@ -151,6 +160,35 @@ def chi_sign(sigma: Permutation, degrees: Sequence[int]) -> int:
     return sigma.sign() * koszul_sign(sigma, degrees)
 
 
+def _sort_indices(indices: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """Sort an index word, returning ``(sign, sorted)``; ``None`` on repeats."""
+    seq = list(indices)
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] == seq[j]:
+                return None
+            if seq[i] > seq[j]:
+                seq[i], seq[j] = seq[j], seq[i]
+                sign = -sign
+    return sign, tuple(seq)
+
+
+def _merge_indices(
+    left: tuple[int, ...], right: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]] | None:
+    """Merge two increasing index tuples with the wedge sign.
+
+    The sign counts the transpositions needed to sort the concatenation;
+    shared indices give ``None`` (the wedge vanishes).
+    """
+    if set(left) & set(right):
+        return None
+    inversions = sum(1 for a in left for b in right if a > b)
+    merged = tuple(sorted(left + right))
+    return (-1 if inversions % 2 else 1), merged
+
+
 def _shuffle_images(
     remaining: tuple[int, ...], blocks: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
@@ -254,7 +292,7 @@ class SparseMatrix:
         return out
 
     def _integer_rows(self) -> list[dict[int, int]]:
-        """Rows with denominators cleared (rank is unaffected)."""
+        """Rows with denominators cleared (rank and kernel are unaffected)."""
         rows: dict[int, dict[int, Fraction]] = {}
         for (r, c), v in self.entries.items():
             rows.setdefault(r, {})[c] = v
@@ -265,21 +303,24 @@ class SparseMatrix:
             out.append({c: int(v * scale) for c, v in sorted(row.items())})
         return out
 
-    def rank(self) -> int:
-        """Exact rank by fraction-free Bareiss elimination.
+    def _pivots(self) -> list[tuple[int, dict[int, int]]]:
+        """Fraction-free Bareiss elimination of the rows with denominators
+        cleared: the pivots ``(column, integer row)`` in the order chosen.
 
         Pivots are chosen sparsity-first (shortest active row, then smallest
-        absolute entry) so intermediate integers stay manageable.
+        absolute entry) so intermediate integers stay manageable. Each pivot
+        row is zero in the columns of the pivots chosen before it, so the
+        rows are in echelon form up to the column order and span the row
+        space.
         """
         active = [row for row in self._integer_rows() if row]
-        rank = 0
+        pivots: list[tuple[int, dict[int, int]]] = []
         prev = 1
         while active:
-            # Sparsity-guided pivot: shortest row, then smallest |entry|.
             pi = min(range(len(active)), key=lambda i: len(active[i]))
             prow = active.pop(pi)
             pcol, pval = min(prow.items(), key=lambda kv: (abs(kv[1]), kv[0]))
-            rank += 1
+            pivots.append((pcol, prow))
             nxt: list[dict[int, int]] = []
             for row in active:
                 a = row.pop(pcol, 0)
@@ -294,51 +335,41 @@ class SparseMatrix:
                     nxt.append(new)
             active = nxt
             prev = pval
-        return rank
+        return pivots
+
+    def rank(self) -> int:
+        """Exact rank: the number of pivots of the elimination."""
+        return len(self._pivots())
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        """A basis of the right kernel, via column echelon reduction.
+        """A basis of the right kernel, by back-substitution on the pivots
+        of the elimination that :meth:`rank` counts.
 
-        Column operations performed on the matrix are mirrored on an
-        identity block; columns of the matrix that reduce to zero hand back
-        their mirror column as a kernel vector. Deterministic for a given
-        matrix.
+        One vector per non-pivot column, in increasing column order: 1 at
+        that column, 0 at the other non-pivot columns, and the pivot
+        coordinates solved from the last pivot row back. Deterministic for a
+        given matrix.
         """
-        cols: list[dict[int, Fraction]] = []
-        mirror: list[dict[int, Fraction]] = []
-        for j in range(self.ncols):
-            cols.append({})
-            mirror.append({j: Fraction(1)})
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        pivots: list[tuple[int, dict[int, Fraction], dict[int, Fraction]]] = []
-        kernel: list[tuple[Fraction, ...]] = []
-        for j in range(self.ncols):
-            vec = dict(cols[j])
-            comb = dict(mirror[j])
-            for prow, pvec, pcomb in pivots:
-                coeff = vec.get(prow)
-                if coeff:
-                    factor = coeff / pvec[prow]
-                    _axpy(vec, pvec, -factor)
-                    _axpy(comb, pcomb, -factor)
-            if not vec:
-                kernel.append(
-                    tuple(comb.get(i, Fraction(0)) for i in range(self.ncols))
-                )
-            else:
-                prow = min(vec)
-                pivots.append((prow, vec, comb))
-        return kernel
-
-
-def _axpy(target: dict[int, Fraction], source: dict[int, Fraction], factor: Fraction) -> None:
-    for k, v in source.items():
-        new = target.get(k, Fraction(0)) + factor * v
-        if new:
-            target[k] = new
-        else:
-            target.pop(k, None)
+        pivots = self._pivots()
+        # Each pivot coordinate as a combination of the non-pivot ones.
+        solved: dict[int, dict[int, Fraction]] = {}
+        for pcol, prow in reversed(pivots):
+            combo: dict[int, Fraction] = {}
+            for c, v in prow.items():
+                if c in solved:
+                    for free, w in solved[c].items():
+                        combo[free] = combo.get(free, 0) - v * w
+                elif c != pcol:
+                    combo[c] = combo.get(c, 0) - v
+            pval = prow[pcol]
+            solved[pcol] = {free: Fraction(w, pval) for free, w in combo.items() if w}
+        vectors = {c: [Fraction(0)] * self.ncols for c in range(self.ncols) if c not in solved}
+        for free, vec in vectors.items():
+            vec[free] = Fraction(1)
+        for pcol, combo in solved.items():
+            for free, w in combo.items():
+                vectors[free][pcol] = w
+        return [tuple(vec) for vec in vectors.values()]
 
 
 _Column = Mapping[Hashable, Rational]

@@ -1,9 +1,10 @@
-"""Rational polynomials in ``x1 .. xn`` and the index-word helpers of the form types.
+"""Rational polynomials in ``x1 .. xn`` and the index helpers of the form types.
 
 :class:`Poly` is the coefficient ring of every form, field and algebroid in
-the package. The helpers below sort and merge the strictly increasing index
-tuples that key the form entries, and enumerate the monomial basis that the
-sweeps and the slice complexes run over.
+the package. The helpers below check the strictly increasing index tuples
+that key the form entries, and enumerate the monomial basis that the sweeps
+and the slice complexes run over; sorting and merging index words with
+their signs is in :mod:`njkit.exact`.
 """
 
 from __future__ import annotations
@@ -200,35 +201,6 @@ class Poly:
     def _check_compatible(self, other: "Poly") -> None:
         if self.n_vars != other.n_vars:
             raise ValueError("polynomials live over different variable counts")
-
-
-def _sort_indices(indices: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Sort an index word, returning ``(sign, sorted)``; ``None`` on repeats."""
-    seq = list(indices)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] == seq[j]:
-                return None
-            if seq[i] > seq[j]:
-                seq[i], seq[j] = seq[j], seq[i]
-                sign = -sign
-    return sign, tuple(seq)
-
-
-def _merge_indices(
-    left: tuple[int, ...], right: tuple[int, ...]
-) -> tuple[int, tuple[int, ...]] | None:
-    """Merge two increasing index tuples with the wedge sign.
-
-    The sign counts the transpositions needed to sort the concatenation;
-    shared indices give ``None`` (the wedge vanishes).
-    """
-    if set(left) & set(right):
-        return None
-    inversions = sum(1 for a in left for b in right if a > b)
-    merged = tuple(sorted(left + right))
-    return (-1 if inversions % 2 else 1), merged
 
 
 def _check_index_tuple(key: tuple[int, ...], degree: int, n_vars: int) -> None:

@@ -10,8 +10,10 @@ the tests compare the two entry for entry.
 Geometric side: the algebroid axioms checked on frames, anchor
 compatibility on frame pairs and the Jacobi identity with polynomial test
 functions (against the one identity ``Q^2 = 0`` that ``validate_algebroid``
-checks), the Nijenhuis torsion from its expanded coefficient formula
-(against ``algebroid_torsion``, assembled from the definition), the
+checks), the Nijenhuis torsion from its expanded coefficient formula and
+from the definition with the bracket derived from the odd field (against
+``algebroid_torsion``, assembled from the definition with the section
+bracket, which ``algebroid_mc_residual`` also reads), the
 Frolicher-Nijenhuis bracket from the wedge / Lie-derivative definition and
 from the five-sum on general sections (against the five-sum on frame index
 words in ``njkit.algebroid``), the
@@ -44,8 +46,9 @@ components, expanded brace by brace, against the curvature that
 operator components the bracket family is the set of L-infinity
 identities); the generalized Jacobi identity of ``NjlLInfty`` summed over
 unshuffles; the six-term expansion of the bracket that the structure
-element induces on plain-valued maps, against ``NjlLInfty.l_tagged``; and
-the inverses of the suspension identifications, which only tests use.
+element induces on plain-valued maps, against ``NjlLInfty.l`` on
+one-component elements (``l_tagged``); and the inverses of the suspension
+identifications, which only tests use.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ from njkit.braces import (
     shuffle_brace,
 )
 from njkit.cohomology import Cochain, PairCochain, _complexes
-from njkit.exact import Permutation, SparseMatrix, chi_sign, enumerate_shuffles
+from njkit.exact import Permutation, SparseMatrix, _merge_indices, chi_sign, enumerate_shuffles
 from njkit.forms import (
     ScalarForm,
     VectorValuedForm,
@@ -106,7 +109,7 @@ from njkit.lie import (
     vector,
     zero_vector,
 )
-from njkit.poly import Poly, _merge_indices, _monomials
+from njkit.poly import Poly, _monomials
 
 
 def evaluate_mixed(f: Cochain, args: Sequence) -> Vector:
@@ -354,6 +357,28 @@ def validate_algebroid_on_frames(A: PolyAlgebroid) -> ValidationReport:
                         {"identity": "jacobi", "triple": [i, j, k], "test_function": h.format()}
                     )
     return ValidationReport("lie-algebroid axioms on frames", not failures, checked, failures)
+
+
+def derived_bracket_torsion(A: PolyAlgebroid, P: AlgebroidForm) -> AlgebroidForm:
+    """The torsion ``[PX, PY] - P[PX, Y] - P[X, PY] + P^2[X, Y]`` on frame
+    pairs with the bracket derived from the odd field,
+    ``b_from_field(homological_field_q(A))``, against ``algebroid_torsion``'s
+    section bracket. Neither assumes the algebroid is valid."""
+    _check_operator(A, P)
+    bee = b_from_field(homological_field_q(A))
+    m, n = P.base_dim, P.rank
+    basis = [AlgebroidForm.basis_section(m, n, i) for i in range(1, n + 1)]
+    entries: dict[tuple[tuple[int, ...], int], Poly] = {}
+    for i, j in combinations(range(1, n + 1), 2):
+        Ei, Ej = basis[i - 1], basis[j - 1]
+        Pi, Pj = P.evaluate((Ei,)), P.evaluate((Ej,))
+        value = bee((Pi, Pj))
+        value = value.sub(P.evaluate((bee((Pi, Ej)),)))
+        value = value.sub(P.evaluate((bee((Ei, Pj)),)))
+        value = value.add(P.evaluate((P.evaluate((bee((Ei, Ej)),)),)))
+        for q, poly in value.components().items():
+            entries[((i, j), q)] = poly
+    return AlgebroidForm(m, n, 2, entries)
 
 
 def algebroid_torsion_coefficients(A: PolyAlgebroid, P: AlgebroidForm) -> AlgebroidForm:
@@ -883,12 +908,18 @@ def twisted_column_by_l(
     return out
 
 
+def l_tagged(structure: NjlLInfty, tagged: Sequence[tuple[str, SuspendedHom]]) -> CNjLElement:
+    """``structure.l`` on one-component elements: each ``(kind, h)`` is the
+    element whose one component is ``h``, on side ``kind``."""
+    return structure.l([CNjLElement(**{kind: [h]}) for kind, h in tagged])
+
+
 def njl_generalized_jacobi(
     structure: NjlLInfty, inputs: Sequence[tuple[str, SuspendedHom]]
 ) -> CNjLElement:
     """Residual of the generalized Jacobi identity of ``structure`` on the
     given homogeneous inputs, summed over unshuffles through
-    ``NjlLInfty.l_tagged``: zero for a genuine homotopy Lie structure."""
+    :func:`l_tagged`: zero for a genuine homotopy Lie structure."""
     n = len(inputs)
     degrees = [h.total_degree for _, h in inputs]
     out = CNjLElement()
@@ -898,14 +929,10 @@ def njl_generalized_jacobi(
             sign = chi * ((-1) ** ((i * (n - i)) % 2))
             head = [inputs[sigma(t) - 1] for t in range(1, i + 1)]
             tail = [inputs[sigma(t) - 1] for t in range(i + 1, n + 1)]
-            first = structure.l_tagged(head)
+            first = l_tagged(structure, head)
             if first.is_zero():
                 continue
-            rest = [
-                CNjLElement(lie=[h]) if t == "lie" else CNjLElement(njo=[h])
-                for t, h in tail
-            ]
-            term = structure.l([first] + rest)
+            term = structure.l([first] + [CNjLElement(**{t: [h]}) for t, h in tail])
             out = out.add(term.scale(sign))
     return out
 

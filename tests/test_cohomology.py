@@ -5,7 +5,7 @@ from __future__ import annotations
 import gc
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -22,6 +22,7 @@ from njkit.cohomology import (
     les_verify,
     psi,
 )
+from njkit.exact import Permutation
 from njkit.lie import (
     Endomorphism,
     LieAlgebra,
@@ -99,6 +100,20 @@ def test_cochain_evaluate_antisymmetry():
     assert f.evaluate((1, 0)) == (Fraction(-5),)
     assert f.evaluate((0, 0)) == (Fraction(0),)
     assert f.evaluate((2, 1)) == (Fraction(-2),)
+    # Every word over the basis, unsorted and with repeats: zero on a
+    # repeat, else the stored value on the sorted word times the sign of
+    # the sorting permutation, counted by inversions.
+    rng = random.Random(59)
+    for degree in range(5):
+        f = _random_cochain(rng, degree, 5, 2)
+        for word in product(range(5), repeat=degree):
+            if len(set(word)) < degree:
+                expected = zero_vector(2)
+            else:
+                ranks = tuple(sorted(word).index(i) + 1 for i in word)
+                stored = f.values.get(tuple(sorted(word)), zero_vector(2))
+                expected = vec_scale(Permutation(ranks).sign(), stored)
+            assert f.evaluate(word) == expected, word
 
 
 def test_degree_zero_differential_is_the_action():

@@ -277,16 +277,27 @@ def test_rank_and_kernel_match_sympy_on_random_sparse_matrices():
     rng = random.Random(20261018)
     shapes = [(0, 3), (3, 0), (1, 1), (4, 9), (9, 4), (7, 7), (12, 5), (5, 12)]
     shapes += [(rng.randint(1, 10), rng.randint(1, 10)) for _ in range(32)]
+    # Denominators come from their own generator, so the integer matrices
+    # do not depend on them.
+    denominators = random.Random(20261020)
     for nr, nc in shapes:
-        rows = _random_sparse_rows(rng, nr, nc)
-        m = SparseMatrix(nr, nc, {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)})
-        expected = sympy.Matrix(nr, nc, [sympy.Rational(v) for row in rows for v in row]).rank()
-        assert m.rank() == expected, (nr, nc, rows)
-        kernel = m.kernel_basis()
-        assert len(kernel) == nc - expected
-        for vec in kernel:
-            assert len(vec) == nc
-            assert all(x == 0 for x in m.apply(vec))
+        integer = _random_sparse_rows(rng, nr, nc)
+        # The same pattern with every entry over its own denominator, so
+        # that clearing denominators row by row is exercised.
+        rational = [[Fraction(v, denominators.randint(1, 9)) for v in row] for row in integer]
+        for rows in (integer, rational):
+            m = SparseMatrix(
+                nr, nc, {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)}
+            )
+            cells = [Fraction(v) for row in rows for v in row]
+            flat = [sympy.Rational(v.numerator, v.denominator) for v in cells]
+            expected = sympy.Matrix(nr, nc, flat).rank()
+            assert m.rank() == expected, (nr, nc, rows)
+            kernel = m.kernel_basis()
+            assert len(kernel) == nc - expected
+            for vec in kernel:
+                assert len(vec) == nc
+                assert all(x == 0 for x in m.apply(vec))
 
 
 def test_matmul_and_apply_agree():

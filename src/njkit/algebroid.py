@@ -16,7 +16,7 @@ mapping-cone differential coupling the two complexes, and the Maurer-Cartan
 residuals of a candidate Nijenhuis structure. A field is a derivation of the
 function algebra, fixed by its values on the generators; :func:`field_apply`
 is the one implementation of that action, and the graded commutator (hence
-Q^2) and the exterior derivative of :mod:`njkit.forms` are built on it.
+Q^2) is built on it.
 
 Everything is exact: coefficients are rational polynomials and every check is
 a polynomial identity.
@@ -192,22 +192,6 @@ class FiberForm(_Linear):
             raise ValueError("wrong number of indices")
         return _antisymmetrized(self.entries, idx, None, self.base_dim)
 
-    def wedge(self, other: "FiberForm") -> "FiberForm":
-        if self.base_dim != other.base_dim or self.rank != other.rank:
-            raise ValueError("forms live on different algebroids")
-        out: dict[tuple[int, ...], Poly] = {}
-        for left, p in self.entries.items():
-            for right, q in other.entries.items():
-                merged = _merge_indices(left, right)
-                if merged is None:
-                    continue
-                sign, key = merged
-                term = p.mul(q)
-                if sign < 0:
-                    term = term.neg()
-                out[key] = out[key].add(term) if key in out else term
-        return self._with(out, self.degree + other.degree)
-
     def evaluate(self, sections: Sequence["AlgebroidForm"]) -> Poly:
         """Pair a degree-j form with j polynomial sections."""
         if len(sections) != self.degree:
@@ -370,24 +354,6 @@ class PolyAlgebroid:
             if any(not p.is_zero() for p in vec):
                 clean[(i, j)] = vec
         object.__setattr__(self, "structure", clean)
-
-    def anchor_row(self, i: int) -> tuple[Poly, ...]:
-        """Anchor coefficients of the i-th frame section (1-based)."""
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"frame index {i} out of range 1..{self.rank}")
-        return self.anchor[i - 1]
-
-    def structure_vector(self, i: int, j: int) -> tuple[Poly, ...]:
-        """Bracket components of frame sections i, j; antisymmetrized."""
-        zero = tuple(Poly.zero(self.base_dim) for _ in range(self.rank))
-        if i == j:
-            return zero
-        if i < j:
-            return self.structure.get((i, j), zero)
-        vec = self.structure.get((j, i))
-        if vec is None:
-            return zero
-        return tuple(p.neg() for p in vec)
 
 
 def _check_section(A: PolyAlgebroid, E: AlgebroidForm) -> None:
@@ -1118,10 +1084,6 @@ class ConePair:
             raise ValueError("cone parts live on different algebroids")
         if self.form_part.form_degree != self.field_part.degree:
             raise ValueError("cone degree offset violated")
-
-    @property
-    def cone_degree(self) -> int:
-        return self.field_part.degree + 1
 
     def is_zero(self) -> bool:
         return self.field_part.is_zero() and self.form_part.is_zero()

@@ -298,13 +298,6 @@ class SuspendedHom:
             self.space, self.arity, self.total_degree + 1, True, self.values
         )
 
-    def desuspend_output(self) -> "SuspendedHom":
-        if not self.sv_valued:
-            raise ValueError("already plain-valued")
-        return SuspendedHom._trusted(
-            self.space, self.arity, self.total_degree - 1, False, self.values
-        )
-
     def _check_compatible(self, other: "SuspendedHom") -> None:
         if (
             self.space != other.space
@@ -325,31 +318,19 @@ class SuspendedHom:
     __hash__ = None  # type: ignore[assignment]
 
 
-def _cochain_on_suspension(f: Cochain, sv_valued: bool, mismatch: str) -> SuspendedHom:
-    """``f`` as a map on the suspension with its basis values carried over
-    verbatim: suspended values of degree ``1 - f.degree`` or plain values of
-    degree ``-f.degree``."""
+def to_suspended(f: Cochain) -> SuspendedHom:
+    """Identify an alternating cochain on an ungraded space with a graded
+    symmetric suspended-valued map on the suspension. Basis values carry
+    over verbatim, into suspended values of degree ``1 - f.degree``; all
+    signs live in the evaluation rules."""
     if f.source_dim != f.target_dim:
-        raise ValueError(mismatch)
+        raise ValueError("suspension identification needs source == target")
     space = GradedSpace.suspended_ungraded(f.source_dim)
     values = {
         tuple((1, i) for i in key): {(1, j): v for j, v in enumerate(vec) if v}
         for key, vec in f.values.items()
     }
-    return SuspendedHom(space, f.degree, int(sv_valued) - f.degree, sv_valued, values)
-
-
-def to_suspended(f: Cochain) -> SuspendedHom:
-    """Identify an alternating cochain on an ungraded space with a graded
-    symmetric suspended-valued map on the suspension. Basis values carry
-    over verbatim; all signs live in the evaluation rules."""
-    return _cochain_on_suspension(f, True, "suspension identification needs source == target")
-
-
-def cochain_to_plain(g: Cochain) -> SuspendedHom:
-    """Identify a cochain with a plain-valued map on suspended arguments
-    (the operator-complex side of the dictionary)."""
-    return _cochain_on_suspension(g, False, "identification needs source == target")
+    return SuspendedHom(space, f.degree, 1 - f.degree, True, values)
 
 
 def _insertions(
@@ -732,20 +713,6 @@ class NjlLInfty:
                 term = self._evaluate(kind, head, rest, table)
                 parts[kind].append(term if sign * coeff == 1 else term.scale(sign * coeff))
         return CNjLElement(**parts)
-
-    def twisted_l1(self, alpha: CNjLElement, x: CNjLElement) -> CNjLElement:
-        """Differential obtained by twisting at ``alpha``: the sum over
-        ``i >= 1`` of ``(-1)^(i(i+1)/2) / i!`` times the component with ``i``
-        copies of ``alpha`` in front of ``x`` (the untwisted unary component
-        is zero here), the :meth:`_alpha_expansion` with tail ``[x]``.
-
-        Brace subterms that read only components of ``alpha`` (such as
-        ``nu{s tau}`` and ``s tau{nu}``) are computed once per call in an
-        :class:`_AlphaBraces` table; ``_twisted_complex`` keeps one table
-        for all its columns. Oracle: ``twisted_column_by_l`` in
-        ``tests/oracles.py``, one public ``l([alpha] * i + [x])`` per ``i``.
-        """
-        return self._alpha_expansion(_AlphaBraces(alpha), [x])
 
     def _alpha_expansion(
         self, table: "_AlphaBraces", tail: Sequence[CNjLElement]

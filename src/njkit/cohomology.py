@@ -97,11 +97,6 @@ class Cochain:
     def zero(cls, degree: int, source_dim: int, target_dim: int) -> "Cochain":
         return cls._trusted(degree, source_dim, target_dim, {})
 
-    @classmethod
-    def from_constant(cls, source_dim: int, value: Sequence) -> "Cochain":
-        vec = vector(value)
-        return cls(0, source_dim, len(vec), {(): vec})
-
     def evaluate(self, indices: Sequence[int]) -> Vector:
         """Value on arbitrary basis indices, using antisymmetry."""
         idx = tuple(indices)

@@ -29,8 +29,6 @@ from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 Rational = Fraction
 
-DegreeList = tuple[int, ...]
-
 # ASCII digits only: ``\d`` would also match the digits of other scripts.
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
@@ -94,12 +92,6 @@ class Permutation:
             raise ValueError("size mismatch")
         return Permutation(tuple(self.images[j - 1] for j in other.images))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(tuple(inv))
-
     def sign(self) -> int:
         """The classical sign, computed by counting inversions."""
         inv = 0
@@ -109,16 +101,6 @@ class Permutation:
                 if imgs[i] > imgs[j]:
                     inv += 1
         return -1 if inv % 2 else 1
-
-    def gather(self, seq: Sequence) -> tuple:
-        """Return ``(seq[images[0]-1], ..., seq[images[n-1]-1])``.
-
-        This is the word ``x_{sigma(1)}, ..., x_{sigma(n)}`` built from
-        ``seq = (x_1, ..., x_n)``.
-        """
-        if len(seq) != self.size:
-            raise ValueError("size mismatch")
-        return tuple(seq[i - 1] for i in self.images)
 
 
 def koszul_sign(sigma: Permutation, degrees: Sequence[int]) -> int:

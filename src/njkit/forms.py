@@ -2,15 +2,16 @@
 
 This is the classical, geometric case of the package's Frolicher-Nijenhuis
 calculus: the tangent algebroid of R^n in its coordinate frame.
-:class:`ScalarForm` and :class:`VectorValuedForm` are the scalar and
-section-valued forms of :mod:`njkit.algebroid` with base dimension and rank
-both ``n``, and the Lie bracket of vector fields, the Frolicher-Nijenhuis
-bracket and the torsion of a (1,1)-form are the algebroid operations on
-``trivial_algebroid(n)``. What is specific to R^n lives here: the exterior
-derivative, the insertion operator, and an explicit contracting homotopy
-that verifies the vanishing of the twisted cohomology of the diagonal
-operator ``diag(x1, ..., xn)`` degree slice by degree slice. All
-operations are exact.
+:class:`VectorValuedForm` is the section-valued form of
+:mod:`njkit.algebroid` with base dimension and rank both ``n``, and the Lie
+bracket of vector fields, the Frolicher-Nijenhuis bracket and the torsion of
+a (1,1)-form are the algebroid operations on ``trivial_algebroid(n)``. What
+is specific to R^n lives here: an explicit contracting homotopy that
+verifies the vanishing of the twisted cohomology of the diagonal operator
+``diag(x1, ..., xn)`` degree slice by degree slice. All operations are
+exact. Scalar forms, the exterior derivative and the insertion operator,
+which only the Cartan-formula route to the bracket uses, live with that
+route in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,42 +20,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
-from .algebroid import (
-    AlgebroidForm,
-    FiberForm,
-    algebroid_fn_bracket,
-    algebroid_torsion,
-    field_apply,
-    homological_field_q,
-    trivial_algebroid,
-)
+from .algebroid import AlgebroidForm, algebroid_fn_bracket, algebroid_torsion, trivial_algebroid
 from .cohomology import BettiReport
-from .exact import LinearComplex, SparseMatrix, enumerate_shuffles
+from .exact import LinearComplex, SparseMatrix
 from .lie import ValidationReport
 from .poly import Poly, _monomials
-
-
-class ScalarForm(FiberForm):
-    """A differential form on R^n with polynomial coefficients.
-
-    ``entries[(i1, ..., ip)]`` with ``i1 < ... < ip`` (1-based) is the
-    coefficient of ``dx^i1 ^ ... ^ dx^ip``; other index words are reached
-    through :meth:`coefficient`, which antisymmetrizes. A scalar form of the
-    tangent algebroid, so ``base_dim == rank == n_vars``.
-    """
-
-    def __init__(
-        self, n_vars: int, degree: int, entries: Mapping[tuple[int, ...], Poly] | None = None
-    ) -> None:
-        super().__init__(n_vars, n_vars, degree, {} if entries is None else entries)
-
-    @property
-    def n_vars(self) -> int:
-        return self.base_dim
-
-    @classmethod
-    def zero(cls, n_vars: int, degree: int) -> "ScalarForm":
-        return ScalarForm(n_vars, degree)
 
 
 class VectorValuedForm(AlgebroidForm):
@@ -82,62 +52,10 @@ class VectorValuedForm(AlgebroidForm):
     def zero(cls, n_vars: int, form_degree: int) -> "VectorValuedForm":
         return VectorValuedForm(n_vars, form_degree)
 
-    @classmethod
-    def vector_field(cls, n_vars: int, components: Mapping[int, Poly]) -> "VectorValuedForm":
-        """A degree-0 form from its components (1-based output indices)."""
-        return VectorValuedForm(n_vars, 0, {((), a): p for a, p in components.items()})
-
-    @classmethod
-    def basis_field(cls, n_vars: int, a: int) -> "VectorValuedForm":
-        """The coordinate vector field along ``x_a``."""
-        return VectorValuedForm.vector_field(n_vars, {a: Poly.const(n_vars, 1)})
-
 
 def _check_same_base(a, b) -> None:
     if a.n_vars != b.n_vars:
         raise ValueError("operands live over different variable counts")
-
-
-def de_rham_d(beta: ScalarForm) -> ScalarForm:
-    """Exterior derivative of a scalar form: the action of the odd field of
-    the tangent algebroid; ``d(d(beta)) = 0``."""
-    return field_apply(homological_field_q(trivial_algebroid(beta.n_vars)), beta)
-
-
-def interior_product(K: VectorValuedForm, beta: ScalarForm) -> ScalarForm:
-    """Insertion of a vector-valued form into a scalar form.
-
-    For ``K`` of form degree ``a`` and ``beta`` of degree ``l >= 1`` the
-    result has degree ``a + l - 1`` and value
-    ``sum_{Sh(a, l-1)} sgn(sigma) beta(K(X_sigma(1..a)), X_sigma(a+1..))``;
-    degree-0 ``beta`` gives zero. For a plain vector field this is the
-    classical insertion into the first slot.
-    """
-    _check_same_base(K, beta)
-    a, l = K.form_degree, beta.degree
-    n = K.n_vars
-    if l == 0:
-        return ScalarForm.zero(n, max(a - 1, 0))
-    deg = a + l - 1
-    shuffles = enumerate_shuffles((a, l - 1))
-    grouped = K._by_input()
-    out: dict[tuple[int, ...], Poly] = {}
-    for T in combinations(range(1, n + 1), deg):
-        acc = Poly.zero(n)
-        for sigma in shuffles:
-            word = sigma.gather(T)
-            head, tail = word[:a], word[a:]
-            for j, p in grouped.get(head, ()):
-                c = beta.coefficient((j,) + tail)
-                if c.is_zero():
-                    continue
-                term = p.mul(c)
-                if sigma.sign() < 0:
-                    term = term.neg()
-                acc = acc.add(term)
-        if not acc.is_zero():
-            out[T] = acc
-    return ScalarForm(n, deg, out)
 
 
 def fn_bracket(K: VectorValuedForm, L: VectorValuedForm) -> VectorValuedForm:
@@ -351,6 +269,25 @@ def check_homotopy(
     identity of sparse matrices on the polynomial-degree slices
     (:func:`_homotopy_report`); the test suite keeps the form-by-form
     sweep as an oracle (``tests/oracles.py``).
+
+    Slices 0 and 1 decide every slice, for the checked ``n`` and form
+    degrees. Write ``d = d_fn`` and ``h = poincare_h``, and take a constant
+    basis form ``w = dx^I (x) d/dx_a`` and a polynomial ``f``.
+
+    * ``h`` is function-linear: ``h(f w) = f h(w)``. It deletes an index
+      and sets a sign, and it never reads an exponent.
+    * ``d = [P, -]_FN`` is a first-order operator in the coefficients, by
+      the Leibniz rule of the bracket: ``d(f w) = f d(w) + sum_c (df/dx_c)
+      D_c(w)``, with forms ``D_c(w)`` that do not depend on ``f``.
+    * Hence ``(d h + h d - id)(f w) = f R_0(w) + sum_c (df/dx_c) R_c(w)``
+      with ``R_0 = d h + h d - id`` and ``R_c = D_c h + h D_c``, neither
+      depending on ``f``.
+    * Slice 0 (``f = 1``) gives ``R_0(w) = 0``. Slice 1 (``f = x_c``) then
+      gives ``R_c(w) = 0``. So the identity holds on ``f w`` for every
+      ``f``, in every polynomial degree.
+
+    The report states only the slices it swept; this argument is what
+    carries a pass on slices 0 and 1 to all of them.
     """
     differential = _diagonal_differential(n)
     slices = _poincare_slices(differential, n, max_poly_degree)

@@ -186,17 +186,6 @@ class Endomorphism:
         return all(is_zero_vector(r) for r in self.rows)
 
 
-def block_diagonal(p: Endomorphism, q: Endomorphism) -> Endomorphism:
-    """The operator acting as ``p`` on the first block and ``q`` on the second."""
-    dim = p.dim + q.dim
-    rows = []
-    for i in range(p.dim):
-        rows.append(tuple(p.rows[i]) + zero_vector(q.dim))
-    for i in range(q.dim):
-        rows.append(zero_vector(p.dim) + tuple(q.rows[i]))
-    return Endomorphism(dim, tuple(rows))
-
-
 @dataclass(frozen=True)
 class Representation:
     """A module over a Lie algebra: one action matrix per algebra generator.
@@ -227,10 +216,6 @@ class Representation:
             )
             actions.append(Endomorphism(algebra.dim, rows))
         return cls(algebra, algebra.dim, tuple(actions))
-
-    @classmethod
-    def trivial(cls, algebra: LieAlgebra, dim: int) -> "Representation":
-        return cls(algebra, dim, tuple(Endomorphism.zero(dim) for _ in range(algebra.dim)))
 
     def act_basis(self, i: int, x: Vector) -> Vector:
         return self.actions[i].apply(x)
@@ -427,38 +412,6 @@ def validate_nijenhuis_representation(
                     }
                 )
     return ValidationReport("nijenhuis-representation", not failures, checked, failures)
-
-
-def semidirect_product(rep: Representation) -> LieAlgebra:
-    """The semidirect product of the algebra with its module:
-    ``[(a, x), (b, y)] = ([a, b], a.y - b.x)``.
-
-    Basis order: algebra generators first, then module generators.
-    """
-    alg = rep.algebra
-    dim = alg.dim + rep.dim
-    brackets: dict[tuple[int, int], Vector] = {}
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            value = alg.basis_bracket(i, j)
-            brackets[(i, j)] = value + zero_vector(rep.dim)
-    for i in range(alg.dim):
-        for b in range(rep.dim):
-            x = tuple(
-                Fraction(1) if k == b else Fraction(0) for k in range(rep.dim)
-            )
-            value = rep.act_basis(i, x)
-            brackets[(i, alg.dim + b)] = zero_vector(alg.dim) + value
-    return LieAlgebra(dim, brackets)
-
-
-def semidirect_nijenhuis(
-    nja: NijenhuisLieAlgebra, nrep: NijenhuisRepresentation
-) -> NijenhuisLieAlgebra:
-    """Semidirect product equipped with the block operator ``diag(P, P_M)``."""
-    algebra = semidirect_product(nrep.representation)
-    operator = block_diagonal(nja.operator, nrep.operator)
-    return NijenhuisLieAlgebra(algebra, operator)
 
 
 def deformed_representation(

@@ -194,10 +194,6 @@ class Poly:
     def _is_one(self) -> bool:
         return len(self.terms) == 1 and self.terms.get((0,) * self.n_vars) == 1
 
-    def degree_support(self) -> set[int]:
-        """Total degrees of the monomials actually present."""
-        return {sum(exps) for exps in self.terms}
-
     def _check_compatible(self, other: "Poly") -> None:
         if self.n_vars != other.n_vars:
             raise ValueError("polynomials live over different variable counts")

@@ -49,6 +49,18 @@ unshuffles; the six-term expansion of the bracket that the structure
 element induces on plain-valued maps, against ``NjlLInfty.l`` on
 one-component elements (``l_tagged``); and the inverses of the suspension
 identifications, which only tests use.
+
+Helpers that only the tests and these routes call, kept here rather than
+shipped: scalar forms on R^n (``ScalarForm``), their wedge product, the
+exterior derivative as the odd field of the tangent algebroid
+(``de_rham_d``) and the insertion of a vector-valued form
+(``interior_product``), which the Cartan-formula route needs; the word
+``gather`` and ``inverse`` of a permutation; ``degree_support`` of a
+polynomial; the frame readers ``anchor_row`` and ``structure_vector`` of an
+algebroid and the ``cone_degree`` of a cone pair; the plain side of the
+suspension dictionary (``cochain_to_plain``, ``desuspend_output``); and the
+twisted differential on one element (``twisted_l1``). Test-data builders
+live in ``tests/structures.py``.
 """
 
 from __future__ import annotations
@@ -62,6 +74,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 import njkit.algebroid
 from njkit.algebroid import (
     AlgebroidForm,
+    ConePair,
+    FiberForm,
     GradedField,
     PolyAlgebroid,
     _anchor_image,
@@ -70,12 +84,14 @@ from njkit.algebroid import (
     _check_section,
     algebroid_fn_bracket,
     b_from_field,
+    field_apply,
     homological_field_q,
     phi_map,
     section_bracket,
     trivial_algebroid,
 )
 from njkit.braces import (
+    _AlphaBraces,
     CNjLElement,
     MaurerCartanCandidate,
     MCReport,
@@ -83,18 +99,11 @@ from njkit.braces import (
     SuspendedHom,
     canonical_tuples,
     shuffle_brace,
+    to_suspended,
 )
 from njkit.cohomology import Cochain, PairCochain, _complexes
 from njkit.exact import Permutation, SparseMatrix, _merge_indices, chi_sign, enumerate_shuffles
-from njkit.forms import (
-    ScalarForm,
-    VectorValuedForm,
-    _check_same_base,
-    _diagonal_differential,
-    de_rham_d,
-    interior_product,
-    poincare_h,
-)
+from njkit.forms import VectorValuedForm, _check_same_base, _diagonal_differential, poincare_h
 from njkit.lie import (
     Endomorphism,
     NijenhuisLieAlgebra,
@@ -110,6 +119,162 @@ from njkit.lie import (
     zero_vector,
 )
 from njkit.poly import Poly, _monomials
+from structures import basis_field
+
+
+# Helpers that only the tests and these routes call (see the header).
+
+
+class ScalarForm(FiberForm):
+    """A differential form on R^n with polynomial coefficients.
+
+    ``entries[(i1, ..., ip)]`` with ``i1 < ... < ip`` (1-based) is the
+    coefficient of ``dx^i1 ^ ... ^ dx^ip``; other index words are reached
+    through :meth:`coefficient`, which antisymmetrizes. A scalar form of the
+    tangent algebroid, so ``base_dim == rank == n_vars``.
+    """
+
+    def __init__(
+        self, n_vars: int, degree: int, entries: Mapping[tuple[int, ...], Poly] | None = None
+    ) -> None:
+        super().__init__(n_vars, n_vars, degree, {} if entries is None else entries)
+
+    @property
+    def n_vars(self) -> int:
+        return self.base_dim
+
+    @classmethod
+    def zero(cls, n_vars: int, degree: int) -> "ScalarForm":
+        return ScalarForm(n_vars, degree)
+
+
+def wedge(F: FiberForm, G: FiberForm) -> FiberForm:
+    """The wedge product of two scalar forms, of the type of ``F``."""
+    if F.base_dim != G.base_dim or F.rank != G.rank:
+        raise ValueError("forms live on different algebroids")
+    out: dict[tuple[int, ...], Poly] = {}
+    for left, p in F.entries.items():
+        for right, q in G.entries.items():
+            merged = _merge_indices(left, right)
+            if merged is None:
+                continue
+            sign, key = merged
+            term = p.mul(q)
+            if sign < 0:
+                term = term.neg()
+            out[key] = out[key].add(term) if key in out else term
+    return F._with(out, F.degree + G.degree)
+
+
+def de_rham_d(beta: ScalarForm) -> ScalarForm:
+    """Exterior derivative of a scalar form: the action of the odd field of
+    the tangent algebroid; ``d(d(beta)) = 0``."""
+    return field_apply(homological_field_q(trivial_algebroid(beta.n_vars)), beta)
+
+
+def gather(sigma: Permutation, seq: Sequence) -> tuple:
+    """Return ``(seq[images[0]-1], ..., seq[images[n-1]-1])``.
+
+    This is the word ``x_{sigma(1)}, ..., x_{sigma(n)}`` built from
+    ``seq = (x_1, ..., x_n)``.
+    """
+    if len(seq) != sigma.size:
+        raise ValueError("size mismatch")
+    return tuple(seq[i - 1] for i in sigma.images)
+
+
+def inverse(sigma: Permutation) -> Permutation:
+    """The permutation undoing ``sigma``."""
+    inv = [0] * sigma.size
+    for i, img in enumerate(sigma.images, start=1):
+        inv[img - 1] = i
+    return Permutation(tuple(inv))
+
+
+def interior_product(K: VectorValuedForm, beta: ScalarForm) -> ScalarForm:
+    """Insertion of a vector-valued form into a scalar form.
+
+    For ``K`` of form degree ``a`` and ``beta`` of degree ``l >= 1`` the
+    result has degree ``a + l - 1`` and value
+    ``sum_{Sh(a, l-1)} sgn(sigma) beta(K(X_sigma(1..a)), X_sigma(a+1..))``;
+    degree-0 ``beta`` gives zero. For a plain vector field this is the
+    classical insertion into the first slot.
+    """
+    _check_same_base(K, beta)
+    a, l = K.form_degree, beta.degree
+    n = K.n_vars
+    if l == 0:
+        return ScalarForm.zero(n, max(a - 1, 0))
+    deg = a + l - 1
+    shuffles = enumerate_shuffles((a, l - 1))
+    grouped = K._by_input()
+    out: dict[tuple[int, ...], Poly] = {}
+    for T in combinations(range(1, n + 1), deg):
+        acc = Poly.zero(n)
+        for sigma in shuffles:
+            word = gather(sigma, T)
+            head, tail = word[:a], word[a:]
+            for j, p in grouped.get(head, ()):
+                c = beta.coefficient((j,) + tail)
+                if c.is_zero():
+                    continue
+                term = p.mul(c)
+                if sigma.sign() < 0:
+                    term = term.neg()
+                acc = acc.add(term)
+        if not acc.is_zero():
+            out[T] = acc
+    return ScalarForm(n, deg, out)
+
+
+def degree_support(poly: Poly) -> set[int]:
+    """Total degrees of the monomials actually present."""
+    return {sum(exps) for exps in poly.terms}
+
+
+def anchor_row(A: PolyAlgebroid, i: int) -> tuple[Poly, ...]:
+    """Anchor coefficients of the i-th frame section (1-based)."""
+    if not 1 <= i <= A.rank:
+        raise ValueError(f"frame index {i} out of range 1..{A.rank}")
+    return A.anchor[i - 1]
+
+
+def structure_vector(A: PolyAlgebroid, i: int, j: int) -> tuple[Poly, ...]:
+    """Bracket components of frame sections i, j; antisymmetrized."""
+    zero = tuple(Poly.zero(A.base_dim) for _ in range(A.rank))
+    if i == j:
+        return zero
+    if i < j:
+        return A.structure.get((i, j), zero)
+    vec = A.structure.get((j, i))
+    if vec is None:
+        return zero
+    return tuple(p.neg() for p in vec)
+
+
+def cone_degree(pair: ConePair) -> int:
+    return pair.field_part.degree + 1
+
+
+def desuspend_output(f: SuspendedHom) -> SuspendedHom:
+    """Undo ``SuspendedHom.suspend_output``; only the degree bookkeeping moves."""
+    if not f.sv_valued:
+        raise ValueError("already plain-valued")
+    return SuspendedHom._trusted(f.space, f.arity, f.total_degree - 1, False, f.values)
+
+
+def cochain_to_plain(g: Cochain) -> SuspendedHom:
+    """Identify a cochain with a plain-valued map on suspended arguments
+    (the operator-complex side of the dictionary): the values of
+    ``to_suspended(g)``, in degree ``-g.degree``."""
+    return desuspend_output(to_suspended(g))
+
+
+def twisted_l1(structure: NjlLInfty, alpha: CNjLElement, x: CNjLElement) -> CNjLElement:
+    """The differential twisted at ``alpha`` on one element: the
+    alpha-expansion of ``structure`` with tail ``[x]``, one brace table for
+    the call. ``_twisted_complex`` keeps one table for all its columns."""
+    return structure._alpha_expansion(_AlphaBraces(alpha), [x])
 
 
 def evaluate_mixed(f: Cochain, args: Sequence) -> Vector:
@@ -309,7 +474,7 @@ def validate_algebroid_on_frames(A: PolyAlgebroid) -> ValidationReport:
     basis = [AlgebroidForm.basis_section(m, n, i) for i in range(1, n + 1)]
 
     for i, j in combinations(range(1, n + 1), 2):
-        cvec = A.structure_vector(i, j)
+        cvec = structure_vector(A, i, j)
         for alpha in range(1, m + 1):
             lhs = Poly.zero(m)
             for k in range(1, n + 1):
@@ -401,10 +566,10 @@ def algebroid_torsion_coefficients(A: PolyAlgebroid, P: AlgebroidForm) -> Algebr
             acc = Poly.zero(m)
             for a in range(1, n + 1):
                 for b in range(1, n + 1):
-                    acc = acc.add(p(i, a).mul(p(j, b)).mul(A.structure_vector(a, b)[k - 1]))
-                    acc = acc.sub(p(b, k).mul(p(i, a)).mul(A.structure_vector(a, j)[b - 1]))
-                    acc = acc.add(p(a, k).mul(p(b, a)).mul(A.structure_vector(i, j)[b - 1]))
-                    acc = acc.sub(p(a, k).mul(p(j, b)).mul(A.structure_vector(i, b)[a - 1]))
+                    acc = acc.add(p(i, a).mul(p(j, b)).mul(structure_vector(A, a, b)[k - 1]))
+                    acc = acc.sub(p(b, k).mul(p(i, a)).mul(structure_vector(A, a, j)[b - 1]))
+                    acc = acc.add(p(a, k).mul(p(b, a)).mul(structure_vector(A, i, j)[b - 1]))
+                    acc = acc.sub(p(a, k).mul(p(j, b)).mul(structure_vector(A, i, b)[a - 1]))
             for a in range(1, n + 1):
                 for beta in range(1, m + 1):
                     rho_a = A.anchor[a - 1][beta - 1]
@@ -437,19 +602,19 @@ def fn_bracket_decomposable(K: VectorValuedForm, L: VectorValuedForm) -> VectorV
     result = VectorValuedForm.zero(n, k + l)
     for (I, a), p in K.entries.items():
         alpha = ScalarForm(n, k, {I: p})
-        X = VectorValuedForm.basis_field(n, a)
+        X = basis_field(n, a)
         for (J, b), q in L.entries.items():
             beta = ScalarForm(n, l, {J: q})
-            Y = VectorValuedForm.basis_field(n, b)
-            toward_Y = alpha.wedge(lie_derivative(X, beta))
+            Y = basis_field(n, b)
+            toward_Y = wedge(alpha, lie_derivative(X, beta))
             if l >= 1:
                 toward_Y = toward_Y.add(
-                    de_rham_d(alpha).wedge(interior_product(X, beta)).scale(sk)
+                    wedge(de_rham_d(alpha), interior_product(X, beta)).scale(sk)
                 )
-            toward_X = lie_derivative(Y, alpha).wedge(beta).neg()
+            toward_X = wedge(lie_derivative(Y, alpha), beta).neg()
             if k >= 1:
                 toward_X = toward_X.add(
-                    interior_product(Y, alpha).wedge(de_rham_d(beta)).scale(sk)
+                    wedge(interior_product(Y, alpha), de_rham_d(beta)).scale(sk)
                 )
             for key, poly in toward_Y.entries.items():
                 result = result.add(VectorValuedForm(n, k + l, {(key, b): poly}))
@@ -484,13 +649,13 @@ def fn_bracket_on_sections(
     acc = K._with({}, 0)
 
     for sigma in enumerate_shuffles((k, l)):
-        word = sigma.gather(args)
+        word = gather(sigma, args)
         term = section_bracket(A, K.evaluate(word[:k]), L.evaluate(word[k:]))
         acc = acc.add(term if sigma.sign() > 0 else term.neg())
 
     if l >= 1:
         for sigma in enumerate_shuffles((k, 1, l - 1)):
-            word = sigma.gather(args)
+            word = gather(sigma, args)
             plugged = section_bracket(A, K.evaluate(word[:k]), word[k])
             term = L.evaluate((plugged,) + word[k + 1 :])
             acc = acc.sub(term if sigma.sign() > 0 else term.neg())
@@ -498,7 +663,7 @@ def fn_bracket_on_sections(
     if k >= 1:
         outer = -1 if (k * l) % 2 else 1
         for sigma in enumerate_shuffles((l, 1, k - 1)):
-            word = sigma.gather(args)
+            word = gather(sigma, args)
             plugged = section_bracket(A, L.evaluate(word[:l]), word[l])
             term = K.evaluate((plugged,) + word[l + 1 :]).scale(outer)
             acc = acc.add(term if sigma.sign() > 0 else term.neg())
@@ -506,14 +671,14 @@ def fn_bracket_on_sections(
     if k >= 1 and l >= 1:
         outer = 1 if k % 2 else -1
         for sigma in enumerate_shuffles((2, k - 1, l - 1)):
-            word = sigma.gather(args)
+            word = gather(sigma, args)
             inner = K.evaluate((section_bracket(A, word[0], word[1]),) + word[2 : k + 1])
             term = L.evaluate((inner,) + word[k + 1 :]).scale(outer)
             acc = acc.add(term if sigma.sign() > 0 else term.neg())
 
         outer = -1 if ((k - 1) * l) % 2 else 1
         for sigma in enumerate_shuffles((2, l - 1, k - 1)):
-            word = sigma.gather(args)
+            word = gather(sigma, args)
             inner = L.evaluate((section_bracket(A, word[0], word[1]),) + word[2 : l + 1])
             term = K.evaluate((inner,) + word[l + 1 :]).scale(outer)
             acc = acc.add(term if sigma.sign() > 0 else term.neg())
@@ -717,27 +882,27 @@ def commutator_shuffle_expansion(X: GradedField, Y: GradedField) -> GradedField:
         for alpha in range(1, m + 1):
             acc = Poly.zero(m)
             for sigma in enumerate_shuffles((b - 1, c - 1)):
-                word = sigma.gather(T)
+                word = gather(sigma, T)
                 for theta in range(1, m + 1):
                     f = a_coeff(X, word[: b - 1], theta)
                     phi = a_coeff(Y, word[b - 1 :], alpha)
                     acc = acc.add(f.mul(phi.partial(theta)).scale(sigma.sign()))
             if c >= 2:
                 for sigma in enumerate_shuffles((b, c - 2)):
-                    word = sigma.gather(T)
+                    word = gather(sigma, T)
                     for beta in range(1, n + 1):
                         g = d_coeff(X, word[:b], beta)
                         phi = a_coeff(Y, (beta,) + word[b:], alpha)
                         acc = acc.add(g.mul(phi).scale(sigma.sign()))
             for sigma in enumerate_shuffles((c - 1, b - 1)):
-                word = sigma.gather(T)
+                word = gather(sigma, T)
                 for theta in range(1, m + 1):
                     phi = a_coeff(Y, word[: c - 1], theta)
                     f = a_coeff(X, word[c - 1 :], alpha)
                     acc = acc.add(phi.mul(f.partial(theta)).scale(-swap * sigma.sign()))
             if b >= 2:
                 for sigma in enumerate_shuffles((c, b - 2)):
-                    word = sigma.gather(T)
+                    word = gather(sigma, T)
                     for beta in range(1, n + 1):
                         psi = d_coeff(Y, word[:c], beta)
                         f = a_coeff(X, (beta,) + word[c:], alpha)
@@ -749,25 +914,25 @@ def commutator_shuffle_expansion(X: GradedField, Y: GradedField) -> GradedField:
         for omega in range(1, n + 1):
             acc = Poly.zero(m)
             for sigma in enumerate_shuffles((b - 1, c)):
-                word = sigma.gather(U)
+                word = gather(sigma, U)
                 for alpha in range(1, m + 1):
                     f = a_coeff(X, word[: b - 1], alpha)
                     psi = d_coeff(Y, word[b - 1 :], omega)
                     acc = acc.add(f.mul(psi.partial(alpha)).scale(sigma.sign()))
             for sigma in enumerate_shuffles((b, c - 1)):
-                word = sigma.gather(U)
+                word = gather(sigma, U)
                 for beta in range(1, n + 1):
                     g = d_coeff(X, word[:b], beta)
                     psi = d_coeff(Y, (beta,) + word[b:], omega)
                     acc = acc.add(g.mul(psi).scale(sigma.sign()))
             for sigma in enumerate_shuffles((c - 1, b)):
-                word = sigma.gather(U)
+                word = gather(sigma, U)
                 for alpha in range(1, m + 1):
                     phi = a_coeff(Y, word[: c - 1], alpha)
                     g = d_coeff(X, word[c - 1 :], omega)
                     acc = acc.add(phi.mul(g.partial(alpha)).scale(-swap * sigma.sign()))
             for sigma in enumerate_shuffles((c, b - 1)):
-                word = sigma.gather(U)
+                word = gather(sigma, U)
                 for beta in range(1, n + 1):
                     psi = d_coeff(Y, word[:c], beta)
                     g = d_coeff(X, (beta,) + word[c:], omega)
@@ -965,7 +1130,7 @@ def from_suspended(sf: SuspendedHom) -> Cochain:
 
 
 def plain_to_cochain(h: SuspendedHom) -> Cochain:
-    """Inverse of ``njkit.braces.cochain_to_plain``."""
+    """Inverse of :func:`cochain_to_plain`."""
     return _suspension_to_cochain(h, False)
 
 
@@ -984,10 +1149,10 @@ def graded_lie_on_plain_side(
         return -1 if e % 2 else 1
 
     terms = [
-        shuffle_brace(nu, [sf, sg]).desuspend_output().scale(sgn(n)),
+        desuspend_output(shuffle_brace(nu, [sf, sg])).scale(sgn(n)),
         shuffle_brace(f, [shuffle_brace(nu, [sg])]),
         shuffle_brace(f, [shuffle_brace(sg, [nu])]).scale(sgn(k)),
-        shuffle_brace(nu, [sg, sf]).desuspend_output().scale(sgn(n * k + k + 1)),
+        desuspend_output(shuffle_brace(nu, [sg, sf])).scale(sgn(n * k + k + 1)),
         shuffle_brace(g, [shuffle_brace(nu, [sf])]).scale(-sgn(n * k)),
         shuffle_brace(g, [shuffle_brace(sf, [nu])]).scale(sgn(n * k + n + 1)),
     ]

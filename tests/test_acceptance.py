@@ -68,7 +68,6 @@ from njkit.lie import (
     Representation,
     adjoint_nijenhuis,
     deformed_bracket,
-    semidirect_nijenhuis,
     validate_lie,
     validate_nijenhuis,
     validate_nijenhuis_representation,
@@ -80,6 +79,7 @@ from oracles import (
     fn_bracket_decomposable,
     validate_algebroid_on_frames,
 )
+from structures import semidirect_nijenhuis, trivial_representation
 
 
 def _finish(num: int, label: str, failures: list[str]) -> None:
@@ -169,7 +169,7 @@ def _nijenhuis_samples(rng: random.Random):
 
     a, b = rng.randint(-3, 3), rng.randint(-3, 3)
     heis = NijenhuisLieAlgebra(_heisenberg(), Endomorphism.diagonal([a, b, a]))
-    triv = Representation.trivial(heis.algebra, 2)
+    triv = trivial_representation(heis.algebra, 2)
     p_m = Endomorphism.from_rows(
         [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
     )

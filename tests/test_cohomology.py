@@ -31,7 +31,6 @@ from njkit.lie import (
     Representation,
     adjoint_nijenhuis,
     deformed_representation,
-    semidirect_nijenhuis,
     vec_add,
     vec_scale,
     vec_sub,
@@ -47,6 +46,7 @@ from oracles import (
     oracle_matrix,
     psi_subset_sum,
 )
+from structures import constant_cochain, semidirect_nijenhuis, trivial_representation
 
 
 def sl2() -> LieAlgebra:
@@ -121,7 +121,7 @@ def test_degree_zero_differential_is_the_action():
     alg = sl2()
     adj = Representation.adjoint(alg)
     m = vector([1, 2, 3])
-    f = Cochain.from_constant(3, m)
+    f = constant_cochain(3, m)
     df = delta_lie(adj, f)
     for i in range(3):
         assert df.evaluate((i,)) == alg.bracket(alg.basis_vector(i), m)
@@ -214,7 +214,7 @@ def test_psi_degree_zero_is_identity_and_pinned_values():
     p = Endomorphism.diagonal([1, 2])
     nja = NijenhuisLieAlgebra(alg, p)
     nrep = adjoint_nijenhuis(nja)
-    f0 = Cochain.from_constant(2, vector([4, 5]))
+    f0 = constant_cochain(2, vector([4, 5]))
     assert psi(nja, nrep, f0) == f0
 
     # With P = P_M = id in degree 1: psi(f)(a) = f(Pa) - P_M f(a) = 0.
@@ -296,7 +296,7 @@ def test_betti_sl2_trivial_coefficients_classical():
     # H(sl2; trivial) is an exterior algebra on one degree-3 class.
     alg = sl2()
     nja = NijenhuisLieAlgebra(alg, Endomorphism.diagonal([1, 1, 1]))
-    triv = Representation.trivial(alg, 1)
+    triv = trivial_representation(alg, 1)
     nrep = NijenhuisRepresentation(triv, Endomorphism.identity(1))
     report = betti(nja, nrep, "ce", 3)
     assert report.betti == [1, 0, 0, 1]
@@ -428,7 +428,7 @@ def _matrix_fixtures():
     out = [(name, nja, adjoint_nijenhuis(nja)) for name, nja in cases]
     nja = NijenhuisLieAlgebra(sl2(), Endomorphism.diagonal([1, 1, 2]))
     trivial = NijenhuisRepresentation(
-        Representation.trivial(sl2(), 2), Endomorphism.from_rows([[1, 1], [0, 2]])
+        trivial_representation(sl2(), 2), Endomorphism.from_rows([[1, 1], [0, 2]])
     )
     out.append(("sl2-trivial2", nja, trivial))
     return out

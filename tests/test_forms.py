@@ -13,33 +13,39 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
+import njkit.forms
 from njkit.braces import rn_bracket, to_suspended
 from njkit.cohomology import Cochain
 from njkit.exact import enumerate_shuffles
 from njkit.forms import (
     Poly,
-    ScalarForm,
     VectorValuedForm,
     check_homotopy,
     d_fn,
-    de_rham_d,
     diagonal_operator,
     fn_betti,
     fn_bracket,
-    interior_product,
     nijenhuis_torsion_form,
     poincare_h,
 )
 from oracles import (
+    ScalarForm,
+    de_rham_d,
+    degree_support,
     fn_bracket_decomposable,
     fn_bracket_on_fields,
     from_suspended,
+    gather,
+    interior_product,
     lie_derivative,
     rn_bracket_forms,
+    wedge,
 )
+from structures import basis_field, vector_field
 
 
 def _rpoly(rng: random.Random, n: int, max_deg: int = 2, nterms: int = 2) -> Poly:
@@ -67,13 +73,13 @@ def _rvvf(rng: random.Random, n: int, deg: int, **kw) -> VectorValuedForm:
 
 
 def _rfield(rng: random.Random, n: int, **kw) -> VectorValuedForm:
-    return VectorValuedForm.vector_field(
+    return vector_field(
         n, {a: _rpoly(rng, n, **kw) for a in range(1, n + 1)}
     )
 
 
 def _basis(n: int) -> list[VectorValuedForm]:
-    return [VectorValuedForm.basis_field(n, a) for a in range(1, n + 1)]
+    return [basis_field(n, a) for a in range(1, n + 1)]
 
 
 def _vf_bracket_oracle(v: VectorValuedForm, w: VectorValuedForm) -> VectorValuedForm:
@@ -87,7 +93,7 @@ def _vf_bracket_oracle(v: VectorValuedForm, w: VectorValuedForm) -> VectorValued
         for a, q in w.components().items():
             acc = acc.sub(q.mul(v.components().get(b, Poly.zero(n)).partial(a)))
         out[b] = acc
-    return VectorValuedForm.vector_field(n, out)
+    return vector_field(n, out)
 
 
 def _apply_field(v: VectorValuedForm, poly: Poly) -> Poly:
@@ -132,7 +138,7 @@ def test_poly_arithmetic_and_partials():
     x1 = Poly.variable(2, 1)
     assert x1.partial(1) == Poly.const(2, 1)
     assert x1.partial(2).is_zero()
-    assert Poly(2, {(2, 1): Fraction(1)}).degree_support() == {3}
+    assert degree_support(Poly(2, {(2, 1): Fraction(1)})) == {3}
     with pytest.raises(ValueError):
         x1.partial(3)
     with pytest.raises(ValueError):
@@ -172,19 +178,19 @@ def test_wedge_matches_shuffle_evaluation():
     for dk, dl in [(1, 1), (1, 2), (2, 1)]:
         alpha = _rscalar(rng, n, dk, max_deg=1)
         beta = _rscalar(rng, n, dl, max_deg=1)
-        wedge = alpha.wedge(beta)
+        product = wedge(alpha, beta)
         for T in combinations(range(1, n + 1), dk + dl):
             fields = tuple(basis[t - 1] for t in T)
             expected = Poly.zero(n)
             for sigma in enumerate_shuffles((dk, dl)):
-                word = sigma.gather(fields)
+                word = gather(sigma, fields)
                 term = alpha.evaluate(word[:dk]).mul(beta.evaluate(word[dk:]))
                 expected = expected.add(term if sigma.sign() > 0 else term.neg())
-            assert wedge.evaluate(fields) == expected
+            assert product.evaluate(fields) == expected
         sign = -1 if (dk * dl) % 2 else 1
-        assert wedge == beta.wedge(alpha).scale(sign)
+        assert product == wedge(beta, alpha).scale(sign)
     a, b, c = (_rscalar(rng, n, 1, max_deg=1) for _ in range(3))
-    assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
+    assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
 
 
 def test_de_rham_differential():
@@ -201,8 +207,8 @@ def test_de_rham_differential():
         assert de_rham_d(de_rham_d(beta)).is_zero()
     alpha = _rscalar(rng, 3, 1)
     beta = _rscalar(rng, 3, 1)
-    leibniz = de_rham_d(alpha).wedge(beta).sub(alpha.wedge(de_rham_d(beta)))
-    assert de_rham_d(alpha.wedge(beta)) == leibniz
+    leibniz = wedge(de_rham_d(alpha), beta).sub(wedge(alpha, de_rham_d(beta)))
+    assert de_rham_d(wedge(alpha, beta)) == leibniz
 
 
 def test_interior_product_examples():
@@ -218,9 +224,9 @@ def test_interior_product_examples():
     alpha = _rscalar(rng, 3, 1)
     beta = _rscalar(rng, 3, 2)
     X = _rfield(rng, 3)
-    lhs = interior_product(X, alpha.wedge(beta))
-    rhs = interior_product(X, alpha).wedge(beta).sub(
-        alpha.wedge(interior_product(X, beta))
+    lhs = interior_product(X, wedge(alpha, beta))
+    rhs = wedge(interior_product(X, alpha), beta).sub(
+        wedge(alpha, interior_product(X, beta))
     )
     assert lhs == rhs
 
@@ -235,8 +241,8 @@ def test_interior_product_against_decomposable_route():
         expected = ScalarForm.zero(n, dk + dl - 1)
         for (I, a), p in K.entries.items():
             alpha = ScalarForm(n, dk, {I: p})
-            inserted = interior_product(VectorValuedForm.basis_field(n, a), beta)
-            expected = expected.add(alpha.wedge(inserted))
+            inserted = interior_product(basis_field(n, a), beta)
+            expected = expected.add(wedge(alpha, inserted))
         assert interior_product(K, beta) == expected
 
 
@@ -298,7 +304,7 @@ def test_rn_bracket_matches_the_algebraic_layer():
 
 def test_lie_derivative_pins():
     n = 2
-    e1 = VectorValuedForm.basis_field(n, 1)
+    e1 = basis_field(n, 1)
     x1 = Poly.variable(n, 1)
     assert lie_derivative(e1, ScalarForm(n, 0, {(): x1})).coefficient(()) == Poly.const(n, 1)
     assert dict(lie_derivative(e1, ScalarForm(n, 1, {(1,): x1})).entries) == {
@@ -325,19 +331,19 @@ def test_lie_derivative_three_sum_formula():
         k, l = K.form_degree, alpha.degree
         acc = Poly.zero(n)
         for sigma in enumerate_shuffles((k, l)):
-            word = sigma.gather(fields)
+            word = gather(sigma, fields)
             term = _apply_field(K.evaluate(word[:k]), alpha.evaluate(word[k:]))
             acc = acc.add(term if sigma.sign() > 0 else term.neg())
         if l >= 1:
             for sigma in enumerate_shuffles((k, 1, l - 1)):
-                word = sigma.gather(fields)
+                word = gather(sigma, fields)
                 plugged = _vf_bracket_oracle(K.evaluate(word[:k]), word[k])
                 term = alpha.evaluate((plugged,) + word[k + 1 :])
                 acc = acc.sub(term if sigma.sign() > 0 else term.neg())
         if k >= 1 and l >= 1:
             outer = -1 if k % 2 else 1
             for sigma in enumerate_shuffles((2, k - 1, l - 1)):
-                word = sigma.gather(fields)
+                word = gather(sigma, fields)
                 inner = K.evaluate(
                     (_vf_bracket_oracle(word[0], word[1]),) + word[2 : k + 1]
                 )
@@ -392,7 +398,7 @@ def test_tangent_forms_keep_their_type():
     ]
     assert all(type(r) is VectorValuedForm for r in vector_results)
     scalar_results = [
-        alpha.add(beta), alpha.neg(), alpha.scale(2), alpha.wedge(beta),
+        alpha.add(beta), alpha.neg(), alpha.scale(2), wedge(alpha, beta),
         ScalarForm.zero(n, 1), de_rham_d(alpha), interior_product(K, alpha),
         lie_derivative(X, alpha),
     ]
@@ -535,7 +541,7 @@ def test_twisted_differential():
     rng = random.Random(19)
     n = 2
     P = diagonal_operator(n)
-    e1 = VectorValuedForm.basis_field(n, 1)
+    e1 = basis_field(n, 1)
     assert dict(d_fn(P, e1).entries) == {((1,), 1): Poly.const(n, -1)}
     assert d_fn(P, P).is_zero()
     assert d_fn(P, VectorValuedForm(n, 1, {((1,), 1): Poly.const(n, 1)})).is_zero()
@@ -554,9 +560,9 @@ def test_poincare_homotopy_values():
     rng = random.Random(20)
     n = 2
     one = Poly.const(n, 1)
-    assert poincare_h(VectorValuedForm.basis_field(n, 1), n).is_zero()
+    assert poincare_h(basis_field(n, 1), n).is_zero()
     assert poincare_h(VectorValuedForm(n, 1, {((1,), 1): one}), n) == (
-        VectorValuedForm.basis_field(n, 1).neg()
+        basis_field(n, 1).neg()
     )
     assert poincare_h(VectorValuedForm(n, 1, {((2,), 1): one}), n).is_zero()
     # one position deeper: the deleted index sits second, so the sign flips
@@ -570,7 +576,7 @@ def test_poincare_homotopy_values():
         assert poincare_h(poincare_h(K, n), n).is_zero()
     homogeneous = VectorValuedForm(n, 2, {((1, 2), 1): Poly(n, {(2, 1): Fraction(5)})})
     image = poincare_h(homogeneous, n)
-    assert all(p.degree_support() == {3} for p in image.entries.values())
+    assert all(degree_support(p) == {3} for p in image.entries.values())
     with pytest.raises(ValueError):
         poincare_h(homogeneous, 3)
 
@@ -582,6 +588,59 @@ def test_homotopy_identity_sweeps():
     assert small.ok and small.checked == 80
     bigger = check_homotopy(3, 2, (0, 1, 2, 3))
     assert bigger.ok and bigger.checked == 240
+
+
+def _constant_basis_forms(n: int) -> list[VectorValuedForm]:
+    """Every ``dx^I (x) d/dx_a`` with a constant coefficient, all form degrees."""
+    one = Poly.const(n, 1)
+    return [
+        VectorValuedForm(n, j, {(I, a): one})
+        for j in range(n + 1)
+        for I in combinations(range(1, n + 1), j)
+        for a in range(1, n + 1)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_poincare_h_is_function_linear(n):
+    """``h(x^e w) = x^e h(w)`` for constant basis forms ``w``: the first
+    step of the argument in the ``check_homotopy`` docstring."""
+    rng = random.Random(40 + n)
+    forms = _constant_basis_forms(n)
+    for _ in range(6):
+        monomial = Poly(n, {tuple(rng.randint(0, 3) for _ in range(n)): Fraction(1)})
+        for w in forms:
+            assert poincare_h(w.poly_scale(monomial), n) == poincare_h(w, n).poly_scale(monomial)
+
+
+@pytest.mark.parametrize("n, max_poly_degree", [(2, 4), (3, 4), (4, 3)])
+def test_slices_zero_and_one_decide_the_higher_slices(n, max_poly_degree):
+    """Every slice up to the bound passes, on every form degree, as the
+    argument in the ``check_homotopy`` docstring says it must once slices 0
+    and 1 do."""
+    report = check_homotopy(n, max_poly_degree, tuple(range(n + 1)))
+    assert report.ok
+    assert report.checked == n * 2**n * comb(n + max_poly_degree, n)
+
+
+def _h_with_one_wrong_sign(position: int):
+    """``poincare_h`` with the sign flipped where the deleted index sat at
+    ``position``: still function-linear, since it only signs entries."""
+
+    def mutant(K: VectorValuedForm, n: int) -> VectorValuedForm:
+        entries = {}
+        for (J, a), poly in poincare_h(K, n).entries.items():
+            deleted_at = sum(1 for j in J if j < a)
+            entries[(J, a)] = poly.neg() if deleted_at == position else poly
+        return VectorValuedForm(n, K.form_degree - 1 if K.form_degree else 0, entries)
+
+    return mutant
+
+
+@pytest.mark.parametrize("n, position", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_a_wrong_sign_in_h_fails_slice_zero_or_one(monkeypatch, n, position):
+    monkeypatch.setattr(njkit.forms, "poincare_h", _h_with_one_wrong_sign(position))
+    assert not check_homotopy(n, 1, tuple(range(n + 1))).ok
 
 
 def test_fn_betti_all_slices_vanish():
@@ -601,4 +660,4 @@ def test_d_fn_is_polynomial_degree_homogeneous_for_diag():
     K = VectorValuedForm(n, 1, {((1,), 2): Poly(n, {(1, 2): Fraction(3)})})
     image = d_fn(P, K)
     assert not image.is_zero()
-    assert all(p.degree_support() == {3} for p in image.entries.values())
+    assert all(degree_support(p) == {3} for p in image.entries.values())

@@ -13,17 +13,20 @@ from njkit.lie import (
     NijenhuisLieAlgebra,
     NijenhuisRepresentation,
     Representation,
-    block_diagonal,
     deformed_bracket,
     deformed_representation,
     nijenhuis_torsion,
-    semidirect_nijenhuis,
-    semidirect_product,
     validate_lie,
     validate_nijenhuis,
     validate_nijenhuis_representation,
     validate_representation,
     vector,
+)
+from structures import (
+    block_diagonal,
+    semidirect_nijenhuis,
+    semidirect_product,
+    trivial_representation,
 )
 
 
@@ -181,7 +184,7 @@ def test_morphism_property_of_deformed_bracket():
 def test_adjoint_representation_valid_for_lie_algebras():
     for alg in [sl2(), solvable2(), heisenberg3()]:
         assert validate_representation(Representation.adjoint(alg)).ok
-    assert validate_representation(Representation.trivial(sl2(), 2)).ok
+    assert validate_representation(trivial_representation(sl2(), 2)).ok
 
 
 def test_adjoint_representation_matches_bracket():
@@ -202,7 +205,7 @@ def test_adjoint_module_operator_compatibility():
 
 def test_trivial_module_accepts_any_operator():
     alg = sl2()
-    rep = Representation.trivial(alg, 2)
+    rep = trivial_representation(alg, 2)
     p = Endomorphism.identity(3)
     p_m = Endomorphism.from_rows([[1, 5], [0, 3]])
     assert validate_nijenhuis_representation(rep, p, p_m).ok

@@ -75,22 +75,12 @@ class Permutation:
         if tuple(sorted(self.images)) != tuple(range(1, len(self.images) + 1)):
             raise ValueError(f"not a permutation of 1..n: {self.images}")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
     @property
     def size(self) -> int:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Return the composite applying ``other`` first, then ``self``."""
-        if other.size != self.size:
-            raise ValueError("size mismatch")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
 
     def sign(self) -> int:
         """The classical sign, computed by counting inversions."""

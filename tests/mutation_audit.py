@@ -8,9 +8,7 @@ pass. A survivor is a gap in the tests.
 
 Run from the repository root::
 
-    python tests/mutation_audit.py            # every mutant
-    python tests/mutation_audit.py --list     # names only
-    python tests/mutation_audit.py poincare_h.all_signs koszul_sign.sum
+    python tests/mutation_audit.py
 
 The exit status is 0 when every mutant is killed, 1 otherwise. pytest does
 not collect this file (no ``test_`` prefix), so it is not part of the
@@ -19,7 +17,6 @@ tier-1 run; one full audit takes a few minutes.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -152,19 +149,7 @@ def _run(mutant: Mutant, work: Path) -> str:
     return f"error (pytest exit {done.returncode})"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="print the mutant names and exit")
-    args = parser.parse_args(argv)
-    if args.list:
-        for mutant in MUTANTS:
-            print(mutant.name)
-        return 0
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+def main() -> int:
     outcomes = []
     with tempfile.TemporaryDirectory(prefix="njkit-mutants-") as tmp:
         work = Path(tmp)
@@ -172,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
             shutil.copytree(
                 ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__")
             )
-        for mutant in chosen:
+        for mutant in MUTANTS:
             outcome = _run(mutant, work)
             outcomes.append(outcome)
             print(f"{outcome:9} {mutant.name}", flush=True)

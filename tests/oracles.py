@@ -55,12 +55,12 @@ shipped: scalar forms on R^n (``ScalarForm``), their wedge product, the
 exterior derivative as the odd field of the tangent algebroid
 (``de_rham_d``) and the insertion of a vector-valued form
 (``interior_product``), which the Cartan-formula route needs; the word
-``gather`` and ``inverse`` of a permutation; ``degree_support`` of a
-polynomial; the frame readers ``anchor_row`` and ``structure_vector`` of an
-algebroid and the ``cone_degree`` of a cone pair; the plain side of the
-suspension dictionary (``cochain_to_plain``, ``desuspend_output``); and the
-twisted differential on one element (``twisted_l1``). Test-data builders
-live in ``tests/structures.py``.
+``gather``, ``compose`` and ``inverse`` of permutations; ``degree_support``
+of a polynomial; the antisymmetrized frame bracket ``structure_vector`` of
+an algebroid; the plain side of the suspension dictionary
+(``cochain_to_plain``, ``desuspend_output``); and the twisted differential
+on one element (``twisted_l1``). Test-data builders live in
+``tests/structures.py``.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ from typing import Callable, Iterator, Mapping, Sequence
 import njkit.algebroid
 from njkit.algebroid import (
     AlgebroidForm,
-    ConePair,
     FiberForm,
     GradedField,
     PolyAlgebroid,
@@ -183,6 +182,13 @@ def gather(sigma: Permutation, seq: Sequence) -> tuple:
     return tuple(seq[i - 1] for i in sigma.images)
 
 
+def compose(sigma: Permutation, tau: Permutation) -> Permutation:
+    """The composite applying ``tau`` first, then ``sigma``."""
+    if tau.size != sigma.size:
+        raise ValueError("size mismatch")
+    return Permutation(tuple(sigma.images[j - 1] for j in tau.images))
+
+
 def inverse(sigma: Permutation) -> Permutation:
     """The permutation undoing ``sigma``."""
     inv = [0] * sigma.size
@@ -232,13 +238,6 @@ def degree_support(poly: Poly) -> set[int]:
     return {sum(exps) for exps in poly.terms}
 
 
-def anchor_row(A: PolyAlgebroid, i: int) -> tuple[Poly, ...]:
-    """Anchor coefficients of the i-th frame section (1-based)."""
-    if not 1 <= i <= A.rank:
-        raise ValueError(f"frame index {i} out of range 1..{A.rank}")
-    return A.anchor[i - 1]
-
-
 def structure_vector(A: PolyAlgebroid, i: int, j: int) -> tuple[Poly, ...]:
     """Bracket components of frame sections i, j; antisymmetrized."""
     zero = tuple(Poly.zero(A.base_dim) for _ in range(A.rank))
@@ -250,10 +249,6 @@ def structure_vector(A: PolyAlgebroid, i: int, j: int) -> tuple[Poly, ...]:
     if vec is None:
         return zero
     return tuple(p.neg() for p in vec)
-
-
-def cone_degree(pair: ConePair) -> int:
-    return pair.field_part.degree + 1
 
 
 def desuspend_output(f: SuspendedHom) -> SuspendedHom:

@@ -51,9 +51,7 @@ from oracles import (
     algebroid_torsion_coefficients,
     ScalarForm,
     anchor_apply,
-    anchor_row,
     commutator_shuffle_expansion,
-    cone_degree,
     de_rham_coordinates,
     derived_bracket_torsion,
     fn_bracket_decomposable,
@@ -208,10 +206,8 @@ def test_poly_algebroid_storage_and_frame_data():
     assert v12 == (Poly.const(1, 1), Poly.zero(1))
     assert structure_vector(A, 2, 1) == (Poly.const(1, -1), Poly.zero(1))
     assert all(p.is_zero() for p in structure_vector(A, 1, 1))
-    assert anchor_row(A, 2) == (Poly.variable(1, 1),)
+    assert A.anchor[1] == (Poly.variable(1, 1),)
 
-    with pytest.raises(ValueError):
-        anchor_row(A, 3)
     with pytest.raises(ValueError):
         PolyAlgebroid(1, 2, ((Poly.const(1, 1),),), {})
     with pytest.raises(ValueError):
@@ -223,7 +219,7 @@ def test_poly_algebroid_storage_and_frame_data():
 def test_trivial_and_over_point_constructors():
     T = trivial_algebroid(2)
     assert T.base_dim == 2 and T.rank == 2
-    assert anchor_row(T, 1) == (Poly.const(2, 1), Poly.zero(2))
+    assert T.anchor[0] == (Poly.const(2, 1), Poly.zero(2))
     assert not T.structure
 
     S = algebroid_over_point(sl2())
@@ -858,7 +854,7 @@ def test_cone_pairs_enforce_the_degree_offset():
     X = GradedField.zero(2, 2, 1)
     E = AlgebroidForm.zero(2, 2, 1)
     pair = ConePair(X, E)
-    assert cone_degree(pair) == 2
+    assert pair.field_part.degree + 1 == 2
     assert pair.is_zero()
     with pytest.raises(ValueError):
         ConePair(X, AlgebroidForm.zero(2, 2, 2))

@@ -25,7 +25,7 @@ from njkit.exact import (
 from njkit.forms import _diagonal_differential, _fn_slice
 from njkit.lie import Endomorphism, LieAlgebra, NijenhuisLieAlgebra, adjoint_nijenhuis, vector
 
-from oracles import enumerate_local_shuffles, gather, inverse
+from oracles import compose, enumerate_local_shuffles, gather, inverse
 from structures import semidirect_nijenhuis
 
 
@@ -49,10 +49,10 @@ def test_format_rational_round_trips():
 def test_permutation_compose_inverse_sign():
     s = Permutation((2, 3, 1))
     t = Permutation((1, 3, 2))
-    # (s.compose(t))(i) = s(t(i))
-    st = s.compose(t)
+    # compose(s, t)(i) = s(t(i))
+    st = compose(s, t)
     assert st.images == tuple(s(t(i)) for i in (1, 2, 3))
-    assert s.compose(inverse(s)).images == (1, 2, 3)
+    assert compose(s, inverse(s)).images == (1, 2, 3)
     assert s.sign() == 1  # 3-cycle is even
     assert t.sign() == -1
 
@@ -71,12 +71,12 @@ def test_sign_is_multiplicative():
         rng.shuffle(a)
         rng.shuffle(b)
         sa, sb = Permutation(tuple(a)), Permutation(tuple(b))
-        assert sa.compose(sb).sign() == sa.sign() * sb.sign()
+        assert compose(sa, sb).sign() == sa.sign() * sb.sign()
 
 
 def test_koszul_sign_pinned_examples():
     swap = Permutation((2, 1))
-    assert koszul_sign(Permutation.identity(3), (1, 2, 3)) == 1
+    assert koszul_sign(Permutation((1, 2, 3)), (1, 2, 3)) == 1
     # Two odd symbols anticommute.
     assert koszul_sign(swap, (1, 1)) == -1
     # Odd past even commutes.
@@ -115,7 +115,7 @@ def test_koszul_sign_is_a_right_action():
         rng.shuffle(a)
         rng.shuffle(b)
         sigma, tau = Permutation(tuple(a)), Permutation(tuple(b))
-        composed = sigma.compose(tau)
+        composed = compose(sigma, tau)
         permuted_degrees = gather(sigma, degrees)
         assert koszul_sign(composed, degrees) == koszul_sign(
             sigma, degrees

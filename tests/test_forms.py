@@ -588,6 +588,12 @@ def test_homotopy_identity_sweeps():
     assert small.ok and small.checked == 80
     bigger = check_homotopy(3, 2, (0, 1, 2, 3))
     assert bigger.ok and bigger.checked == 240
+    # Past the two slices that the ``check_homotopy`` docstring argues
+    # decide the rest: every slice up to the bound, every form degree.
+    for n, max_poly_degree in ((2, 4), (3, 4), (4, 3)):
+        report = check_homotopy(n, max_poly_degree, tuple(range(n + 1)))
+        assert report.ok
+        assert report.checked == n * 2**n * comb(n + max_poly_degree, n)
 
 
 def _constant_basis_forms(n: int) -> list[VectorValuedForm]:
@@ -611,16 +617,6 @@ def test_poincare_h_is_function_linear(n):
         monomial = Poly(n, {tuple(rng.randint(0, 3) for _ in range(n)): Fraction(1)})
         for w in forms:
             assert poincare_h(w.poly_scale(monomial), n) == poincare_h(w, n).poly_scale(monomial)
-
-
-@pytest.mark.parametrize("n, max_poly_degree", [(2, 4), (3, 4), (4, 3)])
-def test_slices_zero_and_one_decide_the_higher_slices(n, max_poly_degree):
-    """Every slice up to the bound passes, on every form degree, as the
-    argument in the ``check_homotopy`` docstring says it must once slices 0
-    and 1 do."""
-    report = check_homotopy(n, max_poly_degree, tuple(range(n + 1)))
-    assert report.ok
-    assert report.checked == n * 2**n * comb(n + max_poly_degree, n)
 
 
 def _h_with_one_wrong_sign(position: int):
